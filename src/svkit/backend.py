@@ -6,6 +6,12 @@ a per-utterance factor w, and diagonal residual variance psi. Pairs are
 scored with the two-covariance likelihood ratio using between-class
 covariance V V^T and within-class covariance U U^T + diag(psi).
 
+EM integrates w out (within-class covariance Sigma_w = U U^T + psi) and
+needs one Cholesky of Sigma_w and one eigendecomposition of
+V^T Sigma_w^-1 V per iteration. The utterances are read once, into
+per-speaker sums and a d x d scatter matrix, so an iteration costs O(d^3)
+plus GEMMs over the speakers, independent of the sessions per speaker.
+
 Preprocessing order is fixed: center, LDA, length-normalize for the PLDA
 path; centering only for the cosine path.
 """
@@ -26,8 +32,6 @@ class BackendConfig:
     rank_channel: int = 312
     em_iters: int = 10
     lda_epsilon: float = 1e-6
-    # 0 trains on everything; otherwise a seeded random subset of this size
-    max_train_utterances: int = 0
     seed: int = 0
 
     def __post_init__(self):
@@ -120,15 +124,6 @@ def train_lda(embeddings: np.ndarray, labels, epsilon: float = 1e-6) -> np.ndarr
     return eigvecs[:, order].T
 
 
-def apply_lda(emb: np.ndarray, transform: np.ndarray) -> np.ndarray:
-    return np.asarray(emb, dtype=np.float64) @ transform.T
-
-
-def _group_by_label(labels) -> list[np.ndarray]:
-    labels = np.asarray(labels)
-    return [np.flatnonzero(labels == c) for c in np.unique(labels)]
-
-
 def train_plda(embeddings: np.ndarray, labels, cfg: BackendConfig = BackendConfig()) -> PldaModel:
     """Fit the two-subspace model by EM.
 
@@ -136,14 +131,23 @@ def train_plda(embeddings: np.ndarray, labels, cfg: BackendConfig = BackendConfi
     model carries the marginal log-likelihood trace of the training set,
     one entry per iteration, evaluated on the parameters entering that
     iteration; EM makes it non-decreasing.
+
+    The E-step works on the model's block structure. Integrating w out
+    leaves x = mu + V h + e with e ~ N(0, Sigma_w), Sigma_w = U U^T + psi,
+    and with V^T Sigma_w^-1 V = Q diag(lambda) Q^T the h-posterior of a
+    speaker with n sessions has covariance Q diag(1/(1 + n lambda)) Q^T.
+    Given h, each w_i has the shared gain K = (I + U^T psi^-1 U)^-1 U^T
+    psi^-1, so E[w_i] = K (x_i - V E[h]). The M-step statistics follow from
+    the per-speaker sums and the scatter matrix, so one iteration costs
+    O(d^3) plus GEMMs over the speakers, whatever the sessions per speaker.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     n, d = x.shape
     rs, rc = cfg.rank_speaker, cfg.rank_channel
     if rs > d or rc > d:
         raise ValueError("subspace rank exceeds embedding dimension")
-    groups = _group_by_label(labels)
-    if len(groups) < 2:
+    _, spk, counts = np.unique(np.asarray(labels), return_inverse=True, return_counts=True)
+    if len(counts) < 2:
         raise ValueError("PLDA needs at least two speakers")
 
     mu = x.mean(axis=0)
@@ -154,65 +158,47 @@ def train_plda(embeddings: np.ndarray, labels, cfg: BackendConfig = BackendConfi
     u = rng.standard_normal((d, rc)) * np.sqrt(avg_var / rc)
     psi = np.var(xc, axis=0) + 1e-6 * avg_var
 
-    sums = {}  # per-speaker centered data, grouped by session count
-    for idx in groups:
-        sums.setdefault(len(idx), []).append(xc[idx])
+    sums = np.zeros((len(counts), d))  # per-speaker sums of centered data
+    np.add.at(sums, spk, xc)
+    scatter = xc.T @ xc
+    const = n * d * np.log(2.0 * np.pi)
 
     trace = np.zeros(cfg.em_iters)
-    q = rs + rc
     for it in range(cfg.em_iters):
-        lam = 1.0 / psi
-        vt_lam = v.T * lam  # (rs, d)
-        ut_lam = u.T * lam
-        vlv = vt_lam @ v
-        ulu = ut_lam @ u
-        vlu = vt_lam @ u
-        log_det_psi = float(np.sum(np.log(psi)))
+        ut_lam = u.T / psi
+        cov_w = scipy.linalg.inv(np.eye(rc) + ut_lam @ u)  # w-posterior given h
+        gain = cov_w @ ut_lam  # K, (rc, d)
+        cho = scipy.linalg.cho_factor(u @ u.T + np.diag(psi))
+        sw_v = scipy.linalg.cho_solve(cho, v)  # Sigma_w^-1 V
+        lam, q = scipy.linalg.eigh(v.T @ sw_v)
+        shrink = 1.0 / (1.0 + np.outer(counts, lam))  # (speakers, rs)
+        b = sums @ sw_v
+        h = ((b @ q) * shrink) @ q.T  # E[h] per speaker
+        cov_h = (q * (counts @ shrink)) @ q.T  # sum over utterances of Cov[h]
 
-        r_uu = np.zeros((q, q))
-        r_ux = np.zeros((q, d))
-        s_diag = np.zeros(d)
-        loglik = 0.0
-        for count, blocks in sums.items():
-            m = rs + count * rc
-            prec = np.zeros((m, m))
-            prec[:rs, :rs] = np.eye(rs) + count * vlv
-            for i in range(count):
-                sl = slice(rs + i * rc, rs + (i + 1) * rc)
-                prec[:rs, sl] = vlu
-                prec[sl, :rs] = vlu.T
-                prec[sl, sl] = np.eye(rc) + ulu
-            cho = scipy.linalg.cho_factor(prec)
-            cov = scipy.linalg.cho_solve(cho, np.eye(m))
-            log_det_prec = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-            for data in blocks:
-                b = np.concatenate([vt_lam @ data.sum(axis=0)]
-                                   + [ut_lam @ row for row in data])
-                post_mean = cov @ b
-                loglik += -0.5 * (
-                    count * d * np.log(2.0 * np.pi)
-                    + count * log_det_psi
-                    + log_det_prec
-                    + float(np.sum(data * data * lam))
-                    - float(b @ post_mean)
-                )
-                h = post_mean[:rs]
-                c_hh = cov[:rs, :rs]
-                s_diag += np.sum(data * data, axis=0)
-                for i in range(count):
-                    sl = slice(rs + i * rc, rs + (i + 1) * rc)
-                    w_i = post_mean[sl]
-                    uu = np.empty((q, q))
-                    uu[:rs, :rs] = c_hh + np.outer(h, h)
-                    uu[:rs, rs:] = cov[:rs, sl] + np.outer(h, w_i)
-                    uu[rs:, :rs] = uu[:rs, rs:].T
-                    uu[rs:, rs:] = cov[sl, sl] + np.outer(w_i, w_i)
-                    r_uu += uu
-                    r_ux += np.outer(np.concatenate([h, w_i]), data[i])
-        trace[it] = loglik
+        # log N(vec X_s; 0, I (x) Sigma_w + J (x) V V^T) summed over speakers;
+        # its log-determinant is n_s log|Sigma_w| + sum log(1 + n_s lambda)
+        trace[it] = -0.5 * (
+            const
+            + 2.0 * n * float(np.sum(np.log(np.diag(cho[0]))))
+            - float(np.sum(np.log(shrink)))
+            + float(np.trace(scipy.linalg.cho_solve(cho, scatter)))
+            - float(np.sum(b * h))
+        )
 
-        a = scipy.linalg.solve(r_uu, r_ux, assume_a="pos").T  # (d, q)
-        psi = (s_diag - np.einsum("dq,qd->d", a, r_ux)) / n
+        # sums over utterances of E[z z^T] and E[z] x^T for z = (h, w_i),
+        # from the speaker sums and the scatter: E[w_i] = K (x_i - V E[h])
+        kv = gain @ v
+        r_hh = cov_h + (h.T * counts) @ h
+        r_hx = h.T @ sums
+        r_wx = gain @ scatter - kv @ r_hx
+        r_hw = r_hx @ gain.T - r_hh @ kv.T
+        r_ww = n * cov_w + r_wx @ gain.T - r_hw.T @ kv.T
+        r_zz = np.block([[r_hh, r_hw], [r_hw.T, r_ww]])
+        r_zx = np.vstack([r_hx, r_wx])
+
+        a = scipy.linalg.solve(r_zz, r_zx, assume_a="pos").T  # (d, rs + rc)
+        psi = (np.diag(scatter) - np.einsum("dq,qd->d", a, r_zx)) / n
         psi = np.maximum(psi, 1e-10 * avg_var)
         v = a[:, :rs]
         u = a[:, rs:]
@@ -267,21 +253,8 @@ class Backend:
     plda: PldaModel | None = None
 
 
-def sample_training_set(embeddings: np.ndarray, labels, max_utterances: int, seed: int):
-    """Seeded uniform subsample of the backend training set, order preserved."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(labels)
-    if max_utterances <= 0 or max_utterances >= len(embeddings):
-        return embeddings, labels
-    rng = np.random.default_rng(seed)
-    keep = np.sort(rng.choice(len(embeddings), size=max_utterances, replace=False))
-    return embeddings[keep], labels[keep]
-
-
 def train_backend(embeddings: np.ndarray, labels, cfg: BackendConfig = BackendConfig()) -> Backend:
     """Center estimation plus, for PLDA, LDA and EM training."""
-    embeddings, labels = sample_training_set(
-        embeddings, labels, cfg.max_train_utterances, cfg.seed)
     mean = estimate_center(embeddings)
     if cfg.kind == "cosine":
         return Backend("cosine", mean)

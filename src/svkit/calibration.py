@@ -11,6 +11,7 @@ is convex, so the optimum is unique up to tolerance.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .trials import ScoreSet, TrialList, same_trials
 
@@ -115,8 +116,8 @@ def train_logreg(scores: np.ndarray, targets: np.ndarray, prior: float = 0.5) ->
     def gradient(p):
         act = scores @ p[:-1] + p[-1] + offset0
         g_act = np.empty(len(act))
-        g_act[targets] = -prior / (1.0 + np.exp(act[targets])) / n_tar
-        g_act[~targets] = (1.0 - prior) / (1.0 + np.exp(-act[~targets])) / n_non
+        g_act[targets] = -prior * expit(-act[targets]) / n_tar
+        g_act[~targets] = (1.0 - prior) * expit(act[~targets]) / n_non
         return np.concatenate([scores.T @ g_act, [g_act.sum()]])
 
     ce = objective(params)

@@ -3,13 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 data error. Diagnostics go to
 stderr; results go to stdout or to the requested output files. Reruns
 with identical configuration and seeds produce byte-identical outputs.
-
-SVKIT_THREADS, when set, caps internal parallelism; all current kernels
-are single-threaded apart from BLAS, whose thread count it also caps.
 """
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -28,13 +24,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
-
-
-def _cap_threads() -> None:
-    cap = os.environ.get("SVKIT_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _load_pipeline_config(args) -> PipelineConfig:
@@ -368,7 +357,6 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,7 +1,8 @@
 """Flat key = value pipeline configuration.
 
-Defaults match the reference operating point: AAM scale 30 and margin 0.2,
-S-norm top-X 300, PLDA subspace ranks 312, fusion weights 0.4/0.4/0.1/0.1.
+Defaults match the reference operating point: S-norm top-X 300, PLDA
+subspace ranks 312, fusion weights 0.4/0.4/0.1/0.1. The AAM operating
+point (scale 30, margin 0.2) lives in ``aam.AamConfig``, not here.
 Unknown keys are rejected.
 """
 
@@ -26,15 +27,11 @@ class PipelineConfig:
     arch: str = "tdnn-standard"
     embedding_dim: int = 0  # 0 means the architecture default
     backend: str = "plda"
-    snorm: bool = False
     snorm_top_x: int = 300
-    aam_scale: float = 30.0
-    aam_margin: float = 0.2
     plda_rank_speaker: int = 312
     plda_rank_channel: int = 312
     em_iters: int = 10
     lda_epsilon: float = 1e-6
-    backend_max_train_utts: int = 0  # 0 trains on every embedding
     fusion_weights: tuple[float, ...] = (0.4, 0.4, 0.1, 0.1)
     calibration_prior: float = 0.5
     dcf_p_target: float = 0.05

@@ -342,14 +342,20 @@ def reverberate(wave: Waveform, rir: Waveform) -> Waveform:
 
 
 def read_wav(path) -> Waveform:
-    """Read a mono 16-bit PCM WAV file."""
+    """Read a mono 16-bit PCM WAV file; a malformed file raises ValueError."""
     import wave as _wave
 
-    with _wave.open(str(path), "rb") as f:
-        if f.getnchannels() != 1 or f.getsampwidth() != 2:
-            raise ValueError("invalid audio: expected mono 16-bit PCM WAV")
-        raw = f.readframes(f.getnframes())
-        rate = f.getframerate()
+    try:
+        with _wave.open(str(path), "rb") as f:
+            if f.getnchannels() != 1 or f.getsampwidth() != 2:
+                raise ValueError("invalid audio: expected mono 16-bit PCM WAV")
+            raw = f.readframes(f.getnframes())
+            rate = f.getframerate()
+    # the wave module signals a chunk that overruns its parent with RuntimeError
+    except (_wave.Error, EOFError, RuntimeError) as exc:
+        raise ValueError(f"invalid audio: {path}: {str(exc) or 'truncated file'}") from None
+    if len(raw) % 2:
+        raise ValueError(f"invalid audio: {path}: truncated sample data")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0
     return Waveform(samples, rate)
 

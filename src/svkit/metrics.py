@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trials import ScoreSet, TrialList, parse_trials  # noqa: F401  (re-export)
+from .trials import ScoreSet, TrialList
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from . import tensorio
 
 BN_EPS = 1e-5
 STD_FLOOR = 1e-10
-CROP_FRAMES = 200  # fixed training-segment length
 
 TDNN_KINDS = ("tdnn-standard", "tdnn-big", "tdnn-big-residual")
 ARCH_KINDS = TDNN_KINDS + ("resnet34",)
@@ -96,14 +95,6 @@ def make_spec(kind: str, input_dim: int, num_classes: int, embedding_dim: int | 
     if kind == "resnet34":
         return resnet_spec(num_classes, embedding_dim or 256, input_dim)
     raise ValueError(f"unknown architecture kind: {kind}")
-
-
-def training_crop(frames: np.ndarray, start: int = 0) -> np.ndarray:
-    """Contiguous CROP_FRAMES-frame slice used for training segments."""
-    frames = np.asarray(frames)
-    if start < 0 or start + CROP_FRAMES > frames.shape[0]:
-        raise ValueError(f"too few frames: need {CROP_FRAMES} from offset {start}")
-    return frames[start : start + CROP_FRAMES]
 
 
 def splice(frames: np.ndarray, offsets) -> np.ndarray:

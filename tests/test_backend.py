@@ -1,8 +1,11 @@
 """Tests for centering, LDA, length norm, PLDA training/scoring, cosine."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 
 from svkit import backend as bk
 from svkit import synthdata as sd
@@ -119,6 +122,46 @@ class TestLengthNormalize:
             bk.length_normalize(np.zeros(4))
 
 
+def uneven_sessions(seed=7, d=5):
+    """Six speakers with 1-4 sessions each."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(6), [1, 2, 3, 4, 2, 1])
+    x = rng.standard_normal((len(labels), d)) + 2.0 * rng.standard_normal((6, d))[labels]
+    return x, labels
+
+
+def dense_joint_posterior_em(x, labels, rs, rc, iters, seed):
+    """Reference EM, one speaker at a time: the stacked sessions are
+    vec X_s = [1 (x) V, I (x) U] (h, w_1..w_n) + noise, and the joint
+    posterior of (h, w_1..w_n) is formed and inverted densely."""
+    n, d = x.shape
+    xc = x - x.mean(axis=0)
+    rng = np.random.default_rng(seed)
+    avg_var = float(np.mean(np.var(xc, axis=0)))
+    v = rng.standard_normal((d, rs)) * np.sqrt(avg_var / rs)
+    u = rng.standard_normal((d, rc)) * np.sqrt(avg_var / rc)
+    psi = np.var(xc, axis=0) + 1e-6 * avg_var
+    for _ in range(iters):
+        r_zz = np.zeros((rs + rc, rs + rc))
+        r_zx = np.zeros((rs + rc, d))
+        for spk in np.unique(labels):
+            xs = xc[labels == spk]
+            m = len(xs)
+            load = np.hstack([np.tile(v, (m, 1)), np.kron(np.eye(m), u)])
+            noise_prec = 1.0 / np.tile(psi, m)
+            cov = np.linalg.inv(np.eye(load.shape[1]) + load.T @ (load * noise_prec[:, None]))
+            mean = cov @ load.T @ (xs.ravel() * noise_prec)
+            for i in range(m):
+                sel = np.r_[0:rs, rs + i * rc:rs + (i + 1) * rc]
+                r_zz += cov[np.ix_(sel, sel)] + np.outer(mean[sel], mean[sel])
+                r_zx += np.outer(mean[sel], xs[i])
+        a = np.linalg.solve(r_zz, r_zx).T
+        psi = np.maximum((np.sum(xc * xc, axis=0) - np.sum(a * r_zx.T, axis=1)) / n,
+                         1e-10 * avg_var)
+        v, u = a[:, :rs], a[:, rs:]
+    return v, u, psi
+
+
 class TestPldaTraining:
     def test_loglik_monotone_and_subspace_recovery(self):
         for seed in range(5):
@@ -153,6 +196,48 @@ class TestPldaTraining:
         x = np.random.default_rng(0).standard_normal((5, 4))
         with pytest.raises(ValueError, match="two speakers"):
             bk.train_plda(x, np.zeros(5), bk.BackendConfig(rank_speaker=2, rank_channel=2))
+
+    def test_trace_equals_dense_marginal_density(self):
+        # trace[k] of a (k+1)-iteration run is the log-density of the data
+        # under the k-iteration model, computed on every speaker's stacked
+        # sessions: vec X_s ~ N(1 (x) mu, I (x) (U U^T + Psi) + J (x) V V^T)
+        x, labels = uneven_sessions()
+        for k in (1, 2, 3):
+            model = bk.train_plda(x, labels, bk.BackendConfig(
+                rank_speaker=2, rank_channel=2, em_iters=k, seed=3))
+            trace = bk.train_plda(x, labels, bk.BackendConfig(
+                rank_speaker=2, rank_channel=2, em_iters=k + 1, seed=3)).loglik_trace
+            within = model.U @ model.U.T + np.diag(model.psi)
+            between = model.V @ model.V.T
+            dense = 0.0
+            for spk in np.unique(labels):
+                n = int(np.sum(labels == spk))
+                cov = np.kron(np.eye(n), within) + np.kron(np.ones((n, n)), between)
+                dense += scipy.stats.multivariate_normal.logpdf(
+                    x[labels == spk].ravel(), np.tile(model.mu, n), cov)
+            assert trace[k] == pytest.approx(dense, rel=1e-10)
+
+    def test_matches_dense_joint_posterior_em(self):
+        x, labels = uneven_sessions()
+        est = bk.train_plda(x, labels, bk.BackendConfig(
+            rank_speaker=2, rank_channel=2, em_iters=4, seed=3))
+        v, u, psi = dense_joint_posterior_em(x, labels, 2, 2, iters=4, seed=3)
+        np.testing.assert_allclose(est.V, v, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(est.U, u, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(est.psi, psi, rtol=1e-10)
+
+    def test_memory_independent_of_sessions_per_speaker(self):
+        rng = np.random.default_rng(0)
+        labels = np.repeat([0, 1], 300)
+        x = rng.standard_normal((600, 8)) + 3.0 * rng.standard_normal((2, 8))[labels]
+        cfg = bk.BackendConfig(rank_speaker=8, rank_channel=8, em_iters=2)
+        tracemalloc.start()
+        try:
+            bk.train_plda(x, labels, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_deterministic_given_seed(self):
         spec = sd.SynthSpec(seed=2, dim=8, num_speakers=12, utts_per_speaker=4,

@@ -1,6 +1,8 @@
 """Tests for weighted fusion, logistic-regression calibration, and the
 pre-calibrate / fuse / re-calibrate pipeline."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,14 @@ class TestTrainLogreg:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="single-class"):
             cal.train_logreg(np.ones(4), np.ones(4, bool))
+
+    def test_well_separated_scores_do_not_overflow(self):
+        scores = np.array([900.0, 850.0, -850.0, -900.0])
+        labels = np.array([True, True, False, False])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = cal.train_logreg(scores, labels)
+        assert model.weights[0] > 0.0 and np.isfinite(model.offset)
 
     def test_bad_prior_rejected(self):
         sset, key = llr_scores(3, 10, 10)

@@ -11,8 +11,6 @@ from svkit.trials import ScoreSet, TrialList, load_scores, save_scores, save_tri
 class TestConfig:
     def test_defaults_match_reference_operating_point(self):
         cfg = PipelineConfig()
-        assert cfg.aam_scale == 30.0
-        assert cfg.aam_margin == 0.2
         assert cfg.snorm_top_x == 300
         assert cfg.plda_rank_speaker == 312
         assert cfg.plda_rank_channel == 312
@@ -37,8 +35,10 @@ class TestConfig:
         assert cfg.seed == 3
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown config key"):
-            parse_config("snr = 15\n")
+        # the last four were accepted once but never read
+        for key in ("snr", "snorm", "aam_scale", "aam_margin", "backend_max_train_utts"):
+            with pytest.raises(ValueError, match="unknown config key"):
+                parse_config(f"{key} = 15\n")
 
     def test_bad_value_reports_line(self):
         with pytest.raises(ValueError, match="line 2"):
@@ -218,9 +218,25 @@ class TestPipelineChain:
                          "--config", str(cfg), "--dcf-ptarget", "0.07"]) == 0
         assert "minDCF(p=0.07)" in capsys.readouterr().out
 
-    def test_unknown_config_key_is_data_error(self, tmp_path):
+    def test_unknown_config_key_is_data_error(self, tmp_path, capsys):
         s, k = separated_scores(tmp_path)
         cfg = tmp_path / "svkit.cfg"
-        cfg.write_text("bogus = 1\n")
-        assert cli.main(["eval", "--scores", str(s), "--key", str(k),
-                         "--config", str(cfg)]) == 2
+        for key in ("bogus", "snorm", "aam_scale", "aam_margin", "backend_max_train_utts"):
+            cfg.write_text(f"{key} = 1\n")
+            assert cli.main(["eval", "--scores", str(s), "--key", str(k),
+                             "--config", str(cfg)]) == 2
+            assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [
+        b"\x00" * 16,  # junk
+        b"RIFF\x24\x00\x00\x00WAVEfmt ",  # header cut before the fmt chunk size
+    ], ids=["junk", "truncated_header"])
+    def test_malformed_wav_is_data_error(self, tmp_path, capsys, data):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "bad.wav").write_bytes(data)
+        for command in ("feats", "vad"):
+            assert cli.main([command, "--wav-dir", str(corpus),
+                             "--out-dir", str(tmp_path / command)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid audio") and err.count("\n") == 1

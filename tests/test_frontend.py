@@ -1,5 +1,8 @@
 """Front-end tests: framing, FBank/PLP, STMN, energy VAD, augmentation."""
 
+import io
+import wave
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -319,6 +322,26 @@ class TestReverberate:
             fe.reverberate(seeded_noise(100, 0), fe.Waveform(np.zeros(0)))
 
 
+def pcm_wav_bytes(samples=b"\x01\x02" * 50, channels=1, width=2, rate=16000):
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as f:
+        f.setnchannels(channels)
+        f.setsampwidth(width)
+        f.setframerate(rate)
+        f.writeframes(samples)
+    return buf.getvalue()
+
+
+GOOD_WAV = pcm_wav_bytes()
+
+
+def mutated(data, edits):
+    out = bytearray(data)
+    for pos, byte in edits:
+        out[pos % len(out)] = byte
+    return bytes(out)
+
+
 class TestWavIo:
     def test_roundtrip(self, tmp_path):
         wave = fe.Waveform(np.clip(seeded_noise(5000, 6, scale=0.3).samples, -0.99, 0.99))
@@ -332,6 +355,35 @@ class TestWavIo:
         fe.write_wav(tmp_path / "a.wav", wave)
         fe.write_wav(tmp_path / "b.wav", wave)
         assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
+
+    @pytest.mark.parametrize("data", [
+        b"not a wav file!!",  # no RIFF header
+        GOOD_WAV[:20],  # header cut inside the fmt chunk
+        GOOD_WAV[:-1],  # odd number of sample bytes
+        mutated(GOOD_WAV, [(16, 0x2C)]),  # fmt chunk overruns the file
+        pcm_wav_bytes(channels=2),
+    ], ids=["junk", "cut_fmt", "odd_sample_bytes", "fmt_overrun", "stereo"])
+    def test_malformed_file_raises_value_error(self, tmp_path, data):
+        (tmp_path / "bad.wav").write_bytes(data)
+        with pytest.raises(ValueError, match="invalid audio"):
+            fe.read_wav(tmp_path / "bad.wav")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(
+        st.binary(max_size=96),
+        st.builds(lambda cut, tail: GOOD_WAV[:cut] + tail,
+                  st.integers(0, len(GOOD_WAV)), st.binary(max_size=8)),
+        st.builds(mutated, st.just(GOOD_WAV),
+                  st.lists(st.tuples(st.integers(0, 63), st.integers(0, 255)),
+                           min_size=1, max_size=4)),
+    ))
+    def test_arbitrary_bytes_raise_only_value_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.wav"
+        path.write_bytes(data)
+        try:
+            fe.read_wav(path)
+        except ValueError:
+            pass
 
 
 class TestFeatureFile:
