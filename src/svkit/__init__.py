@@ -23,7 +23,6 @@ from .backend import (
     train_plda,
 )
 from .calibration import (
-    FusionConfig,
     FusionModel,
     apply_fusion,
     calibrate_pipeline,
@@ -47,6 +46,7 @@ from .frontend import (
 )
 from .metrics import DcfParams, compute_eer, compute_min_dcf, det_points
 from .nnet import (
+    Network,
     NetworkSpec,
     ResnetSpec,
     TdnnSpec,
@@ -55,6 +55,7 @@ from .nnet import (
     init_weights,
     load_weights,
     make_spec,
+    prepare,
     resnet_spec,
     save_weights,
     splice,

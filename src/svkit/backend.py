@@ -39,6 +39,8 @@ class BackendConfig:
             raise ValueError(f"unknown backend kind: {self.kind}")
         if self.em_iters < 1:
             raise ValueError("need at least one EM iteration")
+        if self.rank_speaker < 1 or self.rank_channel < 1:
+            raise ValueError("PLDA subspace ranks must be >= 1")
 
 
 @dataclass(eq=False)
@@ -98,23 +100,17 @@ def train_lda(embeddings: np.ndarray, labels, epsilon: float = 1e-6) -> np.ndarr
     same S_w-orthogonal basis.
     """
     x = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(labels)
-    classes = np.unique(labels)
-    if len(classes) < 2:
+    _, cls, counts = np.unique(np.asarray(labels), return_inverse=True, return_counts=True)
+    if len(counts) < 2:
         raise ValueError("LDA needs at least two classes")
     n, d = x.shape
-    mu = x.mean(axis=0)
-    s_w = np.zeros((d, d))
-    s_b = np.zeros((d, d))
-    for c in classes:
-        xc = x[labels == c]
-        mc = xc.mean(axis=0)
-        diff = xc - mc
-        s_w += diff.T @ diff
-        gap = mc - mu
-        s_b += len(xc) * np.outer(gap, gap)
-    s_w /= n
-    s_b /= n
+    means = np.zeros((len(counts), d))
+    np.add.at(means, cls, x)
+    means /= counts[:, None]
+    diff = x - means[cls]
+    gap = means - x.mean(axis=0)
+    s_w = diff.T @ diff / n
+    s_b = (gap.T * counts) @ gap / n
     s_w += (epsilon * np.trace(s_w) / d) * np.eye(d)
     try:
         eigvals, eigvecs = scipy.linalg.eigh(s_b, s_w)

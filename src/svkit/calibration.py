@@ -22,15 +22,6 @@ BACKTRACK = 0.5
 
 
 @dataclass(frozen=True)
-class FusionConfig:
-    weights: tuple[float, ...] = (0.4, 0.4, 0.1, 0.1)
-
-    def __post_init__(self):
-        if len(self.weights) < 1 or not np.all(np.isfinite(self.weights)):
-            raise ValueError("fusion weights must be finite and non-empty")
-
-
-@dataclass(frozen=True)
 class FusionModel:
     weights: tuple[float, ...]
     offset: float

@@ -131,10 +131,8 @@ def cmd_embed(args) -> int:
     probe = tensorio.read_feature_matrix(feat_paths[0])
     spec = nnet.make_spec(cfg.arch, probe.shape[1], max(args.num_classes, 2),
                           cfg.embedding_dim or None)
-    if args.weights:
-        weights = nnet.load_weights(args.weights)
-    else:
-        weights = nnet.init_weights(spec, cfg.seed)
+    weights = nnet.load_weights(args.weights) if args.weights else nnet.init_weights(spec, cfg.seed)
+    net = nnet.prepare(spec, weights)
     out: dict[str, np.ndarray] = {}
     for path in feat_paths:
         feats = frontend.FeatureMatrix(
@@ -143,7 +141,7 @@ def cmd_embed(args) -> int:
         if args.vad_dir:
             mask = tensorio.read_feature_matrix(Path(args.vad_dir) / f"{path.stem}.vad")
             feats = frontend.apply_vad(feats, mask[:, 0] > 0.5)
-        out[path.stem] = nnet.forward(feats.data, spec, weights).astype(np.float32)
+        out[path.stem] = nnet.forward(feats.data, net).astype(np.float32)
     tensorio.write_tensors(args.out, out)
     print(f"embedded {len(out)} utterances with {cfg.arch}", file=sys.stderr)
     return 0

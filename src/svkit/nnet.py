@@ -8,7 +8,10 @@ first segment-level affine. The ResNet pools mean and standard deviation
 over time and taps the embedding before the Dense1 nonlinearity.
 """
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,6 +94,8 @@ def resnet_spec(num_classes: int, embedding_dim: int = 256, input_freq: int = 40
 
 def make_spec(kind: str, input_dim: int, num_classes: int, embedding_dim: int | None = None) -> NetworkSpec:
     if kind in TDNN_KINDS:
+        if embedding_dim not in (None, TdnnSpec.embedding_dim):
+            raise ValueError(f"{kind} embedding_dim is fixed at {TdnnSpec.embedding_dim}")
         return tdnn_spec(kind, input_dim, num_classes)
     if kind == "resnet34":
         return resnet_spec(num_classes, embedding_dim or 256, input_dim)
@@ -126,63 +131,80 @@ def stats_pooling(frames: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Tensor inventory and initialization
+# Layer walks and the tensor inventory. Each architecture has one walk, which
+# the inventory, the shape audits and the forward passes all iterate.
 
 
-def _bn_names(prefix: str, dim: int) -> dict[str, tuple[int, ...]]:
-    return {
-        f"{prefix}.scale": (dim,),
-        f"{prefix}.shift": (dim,),
-        f"{prefix}.mean": (dim,),
-        f"{prefix}.var": (dim,),
-    }
-
-
-def _tdnn_tensor_shapes(spec: TdnnSpec) -> dict[str, tuple[int, ...]]:
-    shapes: dict[str, tuple[int, ...]] = {}
+def _tdnn_layers(spec: TdnnSpec) -> Iterator[tuple[TdnnLayer, int]]:
+    """(layer, input width) from frame1 to the softmax; a frame layer takes its spliced width."""
     in_dim = spec.input_dim
     for layer in spec.frame_layers:
         if layer.residual and (len(layer.offsets) != 1 or layer.out_dim != in_dim):
             raise ValueError("residual frame layers must preserve dimension")
-        shapes[f"{layer.name}.weight"] = (layer.out_dim, len(layer.offsets) * in_dim)
-        shapes[f"{layer.name}.bias"] = (layer.out_dim,)
-        shapes.update(_bn_names(f"{layer.name}.bn", layer.out_dim))
+        yield layer, len(layer.offsets) * in_dim
         in_dim = layer.out_dim
-    pooled = 2 * in_dim
-    shapes["segment1.weight"] = (spec.embedding_dim, pooled)
-    shapes["segment1.bias"] = (spec.embedding_dim,)
-    shapes.update(_bn_names("segment1.bn", spec.embedding_dim))
-    shapes["segment2.weight"] = (spec.segment2_dim, spec.embedding_dim)
-    shapes["segment2.bias"] = (spec.segment2_dim,)
-    shapes.update(_bn_names("segment2.bn", spec.segment2_dim))
-    shapes["softmax.weight"] = (spec.num_classes, spec.segment2_dim)
-    shapes["softmax.bias"] = (spec.num_classes,)
-    return shapes
+    yield TdnnLayer("stats", (), 2 * in_dim), in_dim
+    yield TdnnLayer("segment1", (), spec.embedding_dim), 2 * in_dim
+    yield TdnnLayer("segment2", (), spec.segment2_dim), spec.embedding_dim
+    yield TdnnLayer("softmax", (), spec.num_classes), spec.segment2_dim
 
 
-def _resnet_tensor_shapes(spec: ResnetSpec) -> dict[str, tuple[int, ...]]:
-    shapes: dict[str, tuple[int, ...]] = {}
-    shapes["conv1.weight"] = (spec.stem_channels, 1, 3, 3)
-    shapes.update(_bn_names("conv1.bn", spec.stem_channels))
-    in_ch = spec.stem_channels
-    freq = spec.input_freq
+class _ResBlock(NamedTuple):
+    """One basic block; ``freq`` x ``time`` is the size of its output."""
+
+    name: str
+    stage: str
+    in_ch: int
+    out_ch: int
+    stride: int
+    proj: bool  # 1x1 projection shortcut instead of the identity
+    freq: int
+    time: int
+
+
+def _resnet_blocks(spec: ResnetSpec, time: int = 1) -> Iterator[_ResBlock]:
+    """Basic blocks after the stem, in order, for an input of ``time`` frames."""
+    in_ch, freq = spec.stem_channels, spec.input_freq
     for s, (blocks, ch, stride) in enumerate(
         zip(spec.stage_blocks, spec.stage_channels, spec.stage_strides), start=1
     ):
         for b in range(blocks):
-            p = f"stage{s}.block{b}"
             blk_stride = stride if b == 0 else 1
-            shapes[f"{p}.conv1.weight"] = (ch, in_ch, 3, 3)
-            shapes.update(_bn_names(f"{p}.bn1", ch))
-            shapes[f"{p}.conv2.weight"] = (ch, ch, 3, 3)
-            shapes.update(_bn_names(f"{p}.bn2", ch))
-            if blk_stride != 1 or in_ch != ch:
-                shapes[f"{p}.proj.weight"] = (ch, in_ch, 1, 1)
-                shapes.update(_bn_names(f"{p}.proj_bn", ch))
+            freq, time = -(-freq // blk_stride), -(-time // blk_stride)
+            yield _ResBlock(f"stage{s}.block{b}", f"stage{s}", in_ch, ch, blk_stride,
+                            blk_stride != 1 or in_ch != ch, freq, time)
             in_ch = ch
-        freq = -(-freq // stride)
-    pooled = 2 * freq * in_ch
-    shapes["dense1.weight"] = (spec.embedding_dim, pooled)
+
+
+def _bn_names(prefix: str, dim: int) -> dict[str, tuple[int, ...]]:
+    return {f"{prefix}.{stat}": (dim,) for stat in ("scale", "shift", "mean", "var")}
+
+
+def _tdnn_tensor_shapes(spec: TdnnSpec) -> dict[str, tuple[int, ...]]:
+    shapes: dict[str, tuple[int, ...]] = {}
+    for layer, in_dim in _tdnn_layers(spec):
+        if layer.name == "stats":
+            continue
+        shapes[f"{layer.name}.weight"] = (layer.out_dim, in_dim)
+        shapes[f"{layer.name}.bias"] = (layer.out_dim,)
+        if layer.name != "softmax":
+            shapes.update(_bn_names(f"{layer.name}.bn", layer.out_dim))
+    return shapes
+
+
+def _resnet_tensor_shapes(spec: ResnetSpec) -> dict[str, tuple[int, ...]]:
+    shapes: dict[str, tuple[int, ...]] = {"conv1.weight": (spec.stem_channels, 1, 3, 3)}
+    shapes.update(_bn_names("conv1.bn", spec.stem_channels))
+    for blk in _resnet_blocks(spec):
+        p = blk.name
+        shapes[f"{p}.conv1.weight"] = (blk.out_ch, blk.in_ch, 3, 3)
+        shapes.update(_bn_names(f"{p}.bn1", blk.out_ch))
+        shapes[f"{p}.conv2.weight"] = (blk.out_ch, blk.out_ch, 3, 3)
+        shapes.update(_bn_names(f"{p}.bn2", blk.out_ch))
+        if blk.proj:
+            shapes[f"{p}.proj.weight"] = (blk.out_ch, blk.in_ch, 1, 1)
+            shapes.update(_bn_names(f"{p}.proj_bn", blk.out_ch))
+    shapes["dense1.weight"] = (spec.embedding_dim, dict(resnet_shape_audit(spec))["flatten"][0])
     shapes["dense1.bias"] = (spec.embedding_dim,)
     shapes["dense2.weight"] = (spec.num_classes, spec.embedding_dim)
     shapes["dense2.bias"] = (spec.num_classes,)
@@ -232,41 +254,53 @@ def load_weights(path) -> dict[str, np.ndarray]:
     return tensorio.read_tensors(path)
 
 
+@dataclass(frozen=True, eq=False)
+class Network:
+    """A spec and a read-only mapping of weights checked against it; see ``prepare``."""
+
+    spec: NetworkSpec
+    weights: Mapping[str, np.ndarray]
+
+
+def prepare(spec: NetworkSpec, weights: dict[str, np.ndarray]) -> Network:
+    """Validate ``weights`` against ``spec`` once, for any number of forward passes."""
+    validate_weights(spec, weights)
+    return Network(spec, MappingProxyType(dict(weights)))
+
+
 # ---------------------------------------------------------------------------
 # Forward passes
 
 
-def _bn(x: np.ndarray, w: dict, prefix: str) -> np.ndarray:
-    scale = np.asarray(w[f"{prefix}.scale"], dtype=np.float64)
-    shift = np.asarray(w[f"{prefix}.shift"], dtype=np.float64)
-    mean = np.asarray(w[f"{prefix}.mean"], dtype=np.float64)
-    var = np.asarray(w[f"{prefix}.var"], dtype=np.float64)
-    inv = scale / np.sqrt(var + BN_EPS)
+def _f64(w: Mapping[str, np.ndarray], name: str) -> np.ndarray:
+    # cast where used: float64 copies of every weight would double a network's memory
+    return np.asarray(w[name], dtype=np.float64)
+
+
+def _bn(x: np.ndarray, w: Mapping[str, np.ndarray], prefix: str) -> np.ndarray:
+    inv = _f64(w, f"{prefix}.scale") / np.sqrt(_f64(w, f"{prefix}.var") + BN_EPS)
+    mean, shift = _f64(w, f"{prefix}.mean"), _f64(w, f"{prefix}.shift")
     if x.ndim == 3:  # (channels, freq, time)
         return (x - mean[:, None, None]) * inv[:, None, None] + shift[:, None, None]
     return (x - mean) * inv + shift
 
 
-def forward_tdnn(frames: np.ndarray, spec: TdnnSpec, weights: dict[str, np.ndarray]) -> np.ndarray:
+def forward_tdnn(frames: np.ndarray, net: Network) -> np.ndarray:
     """Embedding of a feature matrix (frames x input_dim)."""
+    spec, w = net.spec, net.weights
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[1] != spec.input_dim:
         raise ValueError("feature dim mismatch")
     if frames.shape[0] < 1:
         raise ValueError("too few frames")
-    validate_weights(spec, weights)
     x = frames
-    for layer in spec.frame_layers:
-        w = np.asarray(weights[f"{layer.name}.weight"], dtype=np.float64)
-        b = np.asarray(weights[f"{layer.name}.bias"], dtype=np.float64)
-        y = splice(x, layer.offsets) @ w.T + b
-        y = np.maximum(y, 0.0)
-        y = _bn(y, weights, f"{layer.name}.bn")
+    for layer, _ in _tdnn_layers(spec):
+        if layer.name == "stats":  # the frame layers are done
+            break
+        y = splice(x, layer.offsets) @ _f64(w, f"{layer.name}.weight").T
+        y = _bn(np.maximum(y + _f64(w, f"{layer.name}.bias"), 0.0), w, f"{layer.name}.bn")
         x = y + x if layer.residual else y
-    pooled = stats_pooling(x)
-    w1 = np.asarray(weights["segment1.weight"], dtype=np.float64)
-    b1 = np.asarray(weights["segment1.bias"], dtype=np.float64)
-    return w1 @ pooled + b1
+    return _f64(w, "segment1.weight") @ stats_pooling(x) + _f64(w, "segment1.bias")
 
 
 def _conv2d(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
@@ -290,44 +324,35 @@ def _conv1x1(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     return np.tensordot(w[:, :, 0, 0], sub, axes=(1, 0))
 
 
-def forward_resnet(frames: np.ndarray, spec: ResnetSpec, weights: dict[str, np.ndarray]) -> np.ndarray:
+def forward_resnet(frames: np.ndarray, net: Network) -> np.ndarray:
     """Embedding of a feature matrix (frames x input_freq)."""
+    spec, w = net.spec, net.weights
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[1] != spec.input_freq:
         raise ValueError("feature dim mismatch")
     if frames.shape[0] < 8:
         raise ValueError("too few frames: need at least 8")
-    validate_weights(spec, weights)
     x = frames.T[None, :, :]  # (1 channel, freq, time)
-    x = _conv2d(x, np.asarray(weights["conv1.weight"], dtype=np.float64), 1)
-    x = np.maximum(_bn(x, weights, "conv1.bn"), 0.0)
-    for s, (blocks, stride) in enumerate(zip(spec.stage_blocks, spec.stage_strides), start=1):
-        for b in range(blocks):
-            p = f"stage{s}.block{b}"
-            blk_stride = stride if b == 0 else 1
-            y = _conv2d(x, np.asarray(weights[f"{p}.conv1.weight"], dtype=np.float64), blk_stride)
-            y = np.maximum(_bn(y, weights, f"{p}.bn1"), 0.0)
-            y = _conv2d(y, np.asarray(weights[f"{p}.conv2.weight"], dtype=np.float64), 1)
-            y = _bn(y, weights, f"{p}.bn2")
-            if f"{p}.proj.weight" in weights:
-                shortcut = _conv1x1(x, np.asarray(weights[f"{p}.proj.weight"], dtype=np.float64), blk_stride)
-                shortcut = _bn(shortcut, weights, f"{p}.proj_bn")
-            else:
-                shortcut = x
-            x = np.maximum(y + shortcut, 0.0)
+    x = np.maximum(_bn(_conv2d(x, _f64(w, "conv1.weight"), 1), w, "conv1.bn"), 0.0)
+    for blk in _resnet_blocks(spec):
+        p = blk.name
+        y = _conv2d(x, _f64(w, f"{p}.conv1.weight"), blk.stride)
+        y = np.maximum(_bn(y, w, f"{p}.bn1"), 0.0)
+        y = _bn(_conv2d(y, _f64(w, f"{p}.conv2.weight"), 1), w, f"{p}.bn2")
+        if blk.proj:  # project the shortcut to the block's output shape
+            x = _bn(_conv1x1(x, _f64(w, f"{p}.proj.weight"), blk.stride), w, f"{p}.proj_bn")
+        x = np.maximum(y + x, 0.0)
     mean = np.mean(x, axis=2)  # (channels, freq)
     centered = x - mean[:, :, None]
     std = np.sqrt(np.maximum(np.mean(centered * centered, axis=2), 0.0) + STD_FLOOR)
     pooled = np.concatenate([mean.T, std.T], axis=0)  # (2*freq, channels)
-    w1 = np.asarray(weights["dense1.weight"], dtype=np.float64)
-    b1 = np.asarray(weights["dense1.bias"], dtype=np.float64)
-    return w1 @ pooled.ravel() + b1
+    return _f64(w, "dense1.weight") @ pooled.ravel() + _f64(w, "dense1.bias")
 
 
-def forward(frames: np.ndarray, spec: NetworkSpec, weights: dict[str, np.ndarray]) -> np.ndarray:
-    if isinstance(spec, TdnnSpec):
-        return forward_tdnn(frames, spec, weights)
-    return forward_resnet(frames, spec, weights)
+def forward(frames: np.ndarray, net: Network) -> np.ndarray:
+    if isinstance(net.spec, TdnnSpec):
+        return forward_tdnn(frames, net)
+    return forward_resnet(frames, net)
 
 
 # ---------------------------------------------------------------------------
@@ -336,33 +361,16 @@ def forward(frames: np.ndarray, spec: NetworkSpec, weights: dict[str, np.ndarray
 
 def tdnn_shape_audit(spec: TdnnSpec) -> list[tuple[str, int, int]]:
     """Per-layer (name, input dim, output dim) of a dry-run forward."""
-    rows = []
-    in_dim = spec.input_dim
-    for layer in spec.frame_layers:
-        rows.append((layer.name, len(layer.offsets) * in_dim, layer.out_dim))
-        in_dim = layer.out_dim
-    rows.append(("stats", in_dim, 2 * in_dim))
-    rows.append(("segment1", 2 * in_dim, spec.embedding_dim))
-    rows.append(("segment2", spec.embedding_dim, spec.segment2_dim))
-    rows.append(("softmax", spec.segment2_dim, spec.num_classes))
-    return rows
+    return [(layer.name, in_dim, layer.out_dim) for layer, in_dim in _tdnn_layers(spec)]
 
 
 def resnet_shape_audit(spec: ResnetSpec, time: int = 200) -> list[tuple[str, tuple[int, ...]]]:
     """Per-stage (name, output shape) for a freq x time x 1 input."""
-    rows = [("input", (spec.input_freq, time, 1))]
-    freq, t = spec.input_freq, time
-    rows.append(("conv1", (freq, t, spec.stem_channels)))
-    ch = spec.stem_channels
-    for s, (blocks, c, stride) in enumerate(
-        zip(spec.stage_blocks, spec.stage_channels, spec.stage_strides), start=1
-    ):
-        freq = -(-freq // stride)
-        t = -(-t // stride)
-        ch = c
-        rows.append((f"stage{s}", (freq, t, ch)))
-    rows.append(("pool", (2 * freq, ch)))
-    rows.append(("flatten", (2 * freq * ch,)))
-    rows.append(("dense1", (spec.embedding_dim,)))
-    rows.append(("dense2", (spec.num_classes,)))
-    return rows
+    rows = [("input", (spec.input_freq, time, 1)),
+            ("conv1", (spec.input_freq, time, spec.stem_channels))]
+    # a stage's output is that of its last block
+    stages = {blk.stage: (blk.freq, blk.time, blk.out_ch) for blk in _resnet_blocks(spec, time)}
+    rows.extend(stages.items())
+    freq, _, ch = rows[-1][1]
+    return rows + [("pool", (2 * freq, ch)), ("flatten", (2 * freq * ch,)),
+                   ("dense1", (spec.embedding_dim,)), ("dense2", (spec.num_classes,))]

@@ -31,12 +31,13 @@ def build_cohort(embeddings: np.ndarray, labels, backend: Backend) -> np.ndarray
     whose utterances cancel out raises a degenerate-norm error.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(labels)
     if embeddings.ndim != 2 or embeddings.shape[0] == 0:
         raise ValueError("need at least one embedding")
     prepped = preprocess(backend, embeddings)
-    rows = [prepped[labels == c].mean(axis=0) for c in np.unique(labels)]
-    cohort = np.vstack(rows)
+    _, spk, counts = np.unique(np.asarray(labels), return_inverse=True, return_counts=True)
+    cohort = np.zeros((len(counts), prepped.shape[1]))
+    np.add.at(cohort, spk, prepped)
+    cohort /= counts[:, None]
     if backend.kind == "cosine":
         cohort = length_normalize(cohort)
     return cohort

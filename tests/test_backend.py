@@ -104,6 +104,36 @@ class TestLda:
         s_w += 1e-6 * np.trace(s_w) / 5 * np.eye(5)
         np.testing.assert_allclose(lda @ s_w @ lda.T, np.eye(5), atol=1e-8)
 
+    @pytest.mark.parametrize("speakers,max_sessions,d", [(400, 3, 128), (20, 5, 16), (60, 9, 32)])
+    def test_matches_mask_loop_reference(self, speakers, max_sessions, d):
+        # S_b has full rank in each case: directions beyond its rank are an
+        # arbitrary basis of a degenerate eigenspace and are not compared
+        rng = np.random.default_rng(speakers + d)
+        sessions = rng.integers(1, max_sessions + 1, size=speakers)
+        labels = np.repeat([f"spk{s}" for s in range(speakers)], sessions)
+        x = (rng.standard_normal((speakers, d)) * 2.0)[np.repeat(np.arange(speakers), sessions)]
+        x += rng.standard_normal(x.shape)
+        perm = rng.permutation(len(x))  # interleave the speakers
+        x, labels = x[perm], labels[perm]
+
+        n = len(x)
+        mu = x.mean(axis=0)
+        s_w = np.zeros((d, d))
+        s_b = np.zeros((d, d))
+        for c in np.unique(labels):
+            xc = x[labels == c]
+            diff = xc - xc.mean(axis=0)
+            s_w += diff.T @ diff
+            gap = xc.mean(axis=0) - mu
+            s_b += len(xc) * np.outer(gap, gap)
+        s_w, s_b = s_w / n, s_b / n
+        s_w += (1e-6 * np.trace(s_w) / d) * np.eye(d)
+        vals, vecs = scipy.linalg.eigh(s_b, s_w)
+        ref = vecs[:, np.argsort(vals)[::-1]].T
+
+        lda = bk.train_lda(x, labels)
+        assert np.abs(lda - ref).max() <= 1e-10 * np.abs(ref).max()
+
 
 class TestLengthNormalize:
     def test_three_four_five(self):
@@ -191,6 +221,11 @@ class TestPldaTraining:
         labels = np.repeat(np.arange(4), 5)
         with pytest.raises(ValueError, match="rank"):
             bk.train_plda(x, labels, bk.BackendConfig(rank_speaker=5, rank_channel=2))
+
+    @pytest.mark.parametrize("ranks", [(0, 2), (2, 0), (-1, 2)])
+    def test_nonpositive_rank_rejected(self, ranks):
+        with pytest.raises(ValueError, match="ranks must be >= 1"):
+            bk.BackendConfig(rank_speaker=ranks[0], rank_channel=ranks[1])
 
     def test_single_speaker_rejected(self):
         x = np.random.default_rng(0).standard_normal((5, 4))

@@ -227,6 +227,35 @@ class TestPipelineChain:
                              "--config", str(cfg)]) == 2
             assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["plda_rank_speaker", "plda_rank_channel"])
+    def test_zero_plda_rank_is_data_error(self, tmp_path, capsys, key):
+        from svkit import tensorio
+
+        rng = np.random.default_rng(0)
+        tensorio.write_tensors(tmp_path / "emb.svw",
+                               {f"u{i}": rng.standard_normal(4) for i in range(6)})
+        (tmp_path / "labels.txt").write_text("".join(f"u{i} s{i % 2}\n" for i in range(6)))
+        (tmp_path / "svkit.cfg").write_text(f"{key} = 0\n")
+        assert cli.main(["train_plda", "--embeddings", str(tmp_path / "emb.svw"),
+                         "--labels", str(tmp_path / "labels.txt"), "--backend", "plda",
+                         "--config", str(tmp_path / "svkit.cfg"),
+                         "--out", str(tmp_path / "backend.svw")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: PLDA subspace ranks") and err.count("\n") == 1
+
+    def test_tdnn_embedding_dim_is_data_error(self, tmp_path, capsys):
+        from svkit import tensorio
+
+        (tmp_path / "feats").mkdir()
+        tensorio.write_feature_matrix(tmp_path / "feats" / "u0.feat", np.zeros((20, 40)))
+        (tmp_path / "svkit.cfg").write_text("embedding_dim = 128\n")
+        assert cli.main(["embed", "--feats-dir", str(tmp_path / "feats"),
+                         "--arch", "tdnn-standard", "--config", str(tmp_path / "svkit.cfg"),
+                         "--out", str(tmp_path / "emb.svw")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: tdnn-standard embedding_dim") and err.count("\n") == 1
+        assert not (tmp_path / "emb.svw").exists()
+
     @pytest.mark.parametrize("data", [
         b"\x00" * 16,  # junk
         b"RIFF\x24\x00\x00\x00WAVEfmt ",  # header cut before the fmt chunk size

@@ -145,43 +145,46 @@ class TestForwardTdnn:
             h = bn_ref(h, w, f"{name}.bn")
         pooled = nnet.stats_pooling(h)
         expected = w["segment1.weight"].astype(float) @ pooled + w["segment1.bias"].astype(float)
-        np.testing.assert_allclose(nnet.forward_tdnn(x, MICRO_TDNN, w), expected, atol=1e-6)
+        np.testing.assert_allclose(nnet.forward_tdnn(x, nnet.prepare(MICRO_TDNN, w)), expected,
+                                   atol=1e-6)
 
     def test_zero_weights_zero_embedding(self):
         w = {k: np.zeros_like(v) for k, v in nnet.init_weights(MICRO_TDNN, 0).items()}
-        out = nnet.forward_tdnn(np.ones((5, 3)), MICRO_TDNN, w)
+        out = nnet.forward_tdnn(np.ones((5, 3)), nnet.prepare(MICRO_TDNN, w))
         assert np.all(out == 0.0)
 
     def test_big_spec_dims(self):
         spec = nnet.tdnn_spec("tdnn-big", 30, 4)
         w = nnet.init_weights(spec, 1)
-        emb = nnet.forward_tdnn(np.random.default_rng(0).standard_normal((200, 30)), spec, w)
+        emb = nnet.forward_tdnn(np.random.default_rng(0).standard_normal((200, 30)),
+                                nnet.prepare(spec, w))
         assert emb.shape == (512,)
 
     def test_dim_mismatch(self):
         w = nnet.init_weights(MICRO_TDNN, 0)
         with pytest.raises(ValueError, match="feature dim mismatch"):
-            nnet.forward_tdnn(np.ones((4, 5)), MICRO_TDNN, w)
+            nnet.forward_tdnn(np.ones((4, 5)), nnet.prepare(MICRO_TDNN, w))
 
     def test_missing_tensor(self):
         w = nnet.init_weights(MICRO_TDNN, 0)
         del w["frame2.bias"]
         with pytest.raises(ValueError, match="weights mismatch"):
-            nnet.forward_tdnn(np.ones((4, 3)), MICRO_TDNN, w)
+            nnet.forward_tdnn(np.ones((4, 3)), nnet.prepare(MICRO_TDNN, w))
 
     def test_time_shift_robustness_exact(self):
         w = nnet.init_weights(MICRO_TDNN, 1)
         row = np.array([0.3, -1.1, 0.7])
-        base = nnet.forward_tdnn(np.tile(row, (4, 1)), MICRO_TDNN, w)
+        base = nnet.forward_tdnn(np.tile(row, (4, 1)), nnet.prepare(MICRO_TDNN, w))
         for extra in (1, 3, 60):
-            padded = nnet.forward_tdnn(np.tile(row, (4 + extra, 1)), MICRO_TDNN, w)
+            padded = nnet.forward_tdnn(np.tile(row, (4 + extra, 1)), nnet.prepare(MICRO_TDNN, w))
             assert np.array_equal(base, padded)
 
     def test_deterministic(self):
         w = nnet.init_weights(MICRO_TDNN, 2)
         x = np.random.default_rng(9).standard_normal((6, 3))
         assert np.array_equal(
-            nnet.forward_tdnn(x, MICRO_TDNN, w), nnet.forward_tdnn(x, MICRO_TDNN, w)
+            nnet.forward_tdnn(x, nnet.prepare(MICRO_TDNN, w)),
+            nnet.forward_tdnn(x, nnet.prepare(MICRO_TDNN, w)),
         )
 
     def test_residual_zero_map_is_identity_on_pair(self):
@@ -198,7 +201,8 @@ class TestForwardTdnn:
                               + w["frame1.bias"].astype(float), 0.0), w, "frame1.bn")
         expected = w["segment1.weight"].astype(float) @ nnet.stats_pooling(h) \
             + w["segment1.bias"].astype(float)
-        np.testing.assert_allclose(nnet.forward_tdnn(x, spec, w), expected, atol=1e-12)
+        np.testing.assert_allclose(nnet.forward_tdnn(x, nnet.prepare(spec, w)), expected,
+                                   atol=1e-12)
 
 
 def conv_oracle(x, kern, stride):
@@ -240,7 +244,7 @@ class TestForwardResnet:
         std = np.sqrt(np.maximum((centered * centered).mean(axis=2), 0) + nnet.STD_FLOOR)
         pooled = np.concatenate([mean.T, std.T], axis=0).ravel()
         expected = w["dense1.weight"].astype(float) @ pooled + w["dense1.bias"].astype(float)
-        out = nnet.forward_resnet(frames, MICRO_RESNET, w)
+        out = nnet.forward_resnet(frames, nnet.prepare(MICRO_RESNET, w))
         np.testing.assert_allclose(out, expected, atol=1e-5)
 
     def test_zero_dense_zero_embedding(self):
@@ -248,24 +252,25 @@ class TestForwardResnet:
         w["dense1.weight"] = np.zeros_like(w["dense1.weight"])
         w["dense1.bias"] = np.zeros_like(w["dense1.bias"])
         out = nnet.forward_resnet(np.random.default_rng(0).standard_normal((9, 4)),
-                                  MICRO_RESNET, w)
+                                  nnet.prepare(MICRO_RESNET, w))
         assert np.all(out == 0.0)
 
     def test_full_resnet34_embedding_dim(self):
         spec = nnet.resnet_spec(3, embedding_dim=256)
         w = nnet.init_weights(spec, 0)
-        emb = nnet.forward_resnet(np.random.default_rng(1).standard_normal((40, 40)), spec, w)
+        emb = nnet.forward_resnet(np.random.default_rng(1).standard_normal((40, 40)),
+                                  nnet.prepare(spec, w))
         assert emb.shape == (256,)
 
     def test_too_few_frames(self):
         w = nnet.init_weights(MICRO_RESNET, 0)
         with pytest.raises(ValueError, match="too few frames"):
-            nnet.forward_resnet(np.ones((5, 4)), MICRO_RESNET, w)
+            nnet.forward_resnet(np.ones((5, 4)), nnet.prepare(MICRO_RESNET, w))
 
     def test_dim_mismatch(self):
         w = nnet.init_weights(MICRO_RESNET, 0)
         with pytest.raises(ValueError, match="feature dim mismatch"):
-            nnet.forward_resnet(np.ones((8, 5)), MICRO_RESNET, w)
+            nnet.forward_resnet(np.ones((8, 5)), nnet.prepare(MICRO_RESNET, w))
 
 
 class TestWeightFiles:
@@ -298,3 +303,9 @@ class TestWeightFiles:
         assert isinstance(nnet.make_spec("resnet34", 40, 4, 160), nnet.ResnetSpec)
         with pytest.raises(ValueError, match="unknown architecture"):
             nnet.make_spec("mlp", 40, 4)
+
+    @pytest.mark.parametrize("kind", nnet.TDNN_KINDS)
+    def test_make_spec_rejects_tdnn_embedding_dim(self, kind):
+        assert nnet.make_spec(kind, 40, 4, 512).embedding_dim == 512
+        with pytest.raises(ValueError, match="embedding_dim is fixed at 512"):
+            nnet.make_spec(kind, 40, 4, 128)

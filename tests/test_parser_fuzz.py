@@ -1,0 +1,175 @@
+"""Fuzz tests for the file parsers: any input either parses or raises ValueError.
+
+The CLI turns ValueError into exit code 2, so any other exception would reach
+the user as a traceback. Each parser gets arbitrary bytes and inputs built
+around its own format with random fields.
+"""
+
+import math
+import struct
+from dataclasses import fields
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from svkit import calibration, tensorio, trials
+from svkit.config import PipelineConfig, load_config
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+def parse_or_value_error(parse, path, data: bytes):
+    path.write_bytes(data)
+    try:
+        return parse(path)
+    except ValueError:
+        return None
+
+
+u32 = st.one_of(st.integers(0, 6), st.integers(0, 2**32 - 1))
+junk = st.binary(max_size=96)
+
+
+def text_lines(tokens) -> st.SearchStrategy[bytes]:
+    """Lines of random tokens joined by random separators, UTF-8 encoded."""
+    sep = st.sampled_from([" ", "  ", "\t", "=", " = ", ""])
+    line = st.builds(lambda toks, s: s.join(toks), st.lists(tokens, max_size=5), sep)
+    ending = st.sampled_from(["\n", "\r\n", "\r", ""])
+    return st.builds(lambda ls, e: e.join(ls).encode("utf-8"), st.lists(line, max_size=6), ending)
+
+
+def key_value_lines(keys, values, sep: str) -> st.SearchStrategy[bytes]:
+    """``key<sep>value`` lines, so that some inputs are well formed."""
+    line = st.builds(lambda k, v: f"{k}{sep}{v}", keys, values)
+    return st.lists(line, max_size=6).map(lambda ls: "\n".join(ls).encode("utf-8"))
+
+
+numbers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "0x10", "1_000", "", "-", "1.5.2"]),
+)
+words = st.one_of(st.text(max_size=8), st.sampled_from(["u1", "u2", "e", "t", "#", "0", "1"]))
+
+
+# ---------------------------------------------------------------------------
+# SVF1 feature matrices
+
+
+@st.composite
+def svf1(draw):
+    magic = draw(st.one_of(st.just(tensorio.FEATURE_MAGIC), st.binary(min_size=4, max_size=4)))
+    rows, cols = draw(u32), draw(u32)
+    payload = draw(st.one_of(
+        st.binary(max_size=64),
+        st.just(b"\0" * (4 * rows * cols) if rows * cols <= 64 else b""),
+    ))
+    cut = draw(st.integers(0, 12 + len(payload)))
+    return (magic + struct.pack("<II", rows, cols) + payload)[: cut or None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(junk, svf1()))
+def test_feature_matrix_parses_or_raises_value_error(fuzz_path, data):
+    out = parse_or_value_error(tensorio.read_feature_matrix, fuzz_path, data)
+    if out is not None:
+        rows, cols = struct.unpack_from("<II", data, 4)
+        assert out.shape == (rows, cols) and out.dtype == np.float32
+
+
+# ---------------------------------------------------------------------------
+# SVW1 tensor stores
+
+
+@st.composite
+def svw1_record(draw):
+    name = draw(st.one_of(st.text(max_size=6).map(lambda s: s.encode("utf-8")),
+                          st.binary(max_size=6)))
+    name_len = draw(st.one_of(st.just(len(name)), st.integers(0, 0xFFFF)))
+    dims = draw(st.lists(u32, max_size=4))
+    rank = draw(st.one_of(st.just(len(dims)), st.integers(0, 255)))
+    size = math.prod(dims)
+    payload = draw(st.one_of(st.just(b"\0" * (4 * size) if size <= 32 else b""),
+                             st.binary(max_size=40)))
+    return (struct.pack("<H", name_len) + name + struct.pack("<B", rank)
+            + b"".join(struct.pack("<I", d) for d in dims) + payload)
+
+
+@st.composite
+def svw1(draw):
+    magic = draw(st.one_of(st.just(tensorio.WEIGHT_MAGIC), st.binary(min_size=4, max_size=4)))
+    records = draw(st.lists(svw1_record(), max_size=3))
+    count = draw(st.one_of(st.just(len(records)), u32))
+    tail = draw(st.one_of(st.just(b""), st.binary(max_size=8)))
+    return magic + struct.pack("<I", count) + b"".join(records) + tail
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(junk, svw1()))
+def test_tensor_store_parses_or_raises_value_error(fuzz_path, data):
+    out = parse_or_value_error(tensorio.read_tensors, fuzz_path, data)
+    if out is not None:
+        assert all(isinstance(k, str) and v.dtype == np.float32 for k, v in out.items())
+
+
+# ---------------------------------------------------------------------------
+# Text formats
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(junk, text_lines(st.one_of(words, st.sampled_from(["0", "1", "2"])))))
+def test_trial_list_parses_or_raises_value_error(fuzz_path, data):
+    out = parse_or_value_error(trials.load_trials, fuzz_path, data)
+    if out is not None:
+        assert len(out.enroll) == len(out.test)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(junk, text_lines(st.one_of(words, numbers))))
+def test_score_file_parses_or_raises_value_error(fuzz_path, data):
+    out = parse_or_value_error(trials.load_scores, fuzz_path, data)
+    if out is not None:
+        assert np.all(np.isfinite(out.scores))
+
+
+fusion_keys = st.one_of(
+    st.sampled_from(["offset", "weight_0", "weight_1", "weight_2", "weight_-1",
+                     "weight_", "weight_x", "weight_99999999999999999999", "bias"]),
+    words,
+)
+
+
+@st.composite
+def fusion_model_text(draw):
+    """Weights 0..n-1 and an offset in random order, plus a few random fields."""
+    n = draw(st.integers(0, 3))
+    lines = [f"weight_{i}={draw(numbers)}" for i in range(n)] + [f"offset={draw(numbers)}"]
+    lines += draw(st.lists(st.builds(lambda k, v: f"{k}={v}", fusion_keys, numbers), max_size=2))
+    return "\n".join(draw(st.permutations(lines))).encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(junk, text_lines(st.one_of(fusion_keys, numbers)), fusion_model_text()))
+def test_fusion_model_parses_or_raises_value_error(fuzz_path, data):
+    out = parse_or_value_error(calibration.load_fusion_model, fuzz_path, data)
+    if out is not None:
+        assert isinstance(out.offset, float) and all(isinstance(w, float) for w in out.weights)
+
+
+config_fields = st.sampled_from([f.name for f in fields(PipelineConfig)])
+config_values = st.one_of(numbers, words,
+                          st.sampled_from(["0", "-1", "true", "off", "0.4,0.4", ",", "1,x"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(junk, text_lines(st.one_of(config_fields, words, config_values)),
+                     key_value_lines(config_fields, config_values, " = ")))
+def test_config_parses_or_raises_value_error(fuzz_path, data):
+    out = parse_or_value_error(load_config, fuzz_path, data)
+    if out is not None:
+        assert isinstance(out, PipelineConfig)

@@ -111,6 +111,23 @@ class TestBuildCohort:
             member = prepped[labels == spk]
             np.testing.assert_allclose(row, member.mean(axis=0), atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["plda", "cosine"])
+    def test_rows_match_mask_loop_on_interleaved_uneven_labels(self, kind):
+        rng = np.random.default_rng(11)
+        spec = sd.SynthSpec(seed=6, dim=6, num_speakers=30, utts_per_speaker=6,
+                            rank_speaker=2, rank_channel=2)
+        x, labels, _ = sd.gen_plda_data(spec)
+        keep = rng.permutation(len(x))[: len(x) * 2 // 3]  # uneven, interleaved sessions
+        x, labels = x[keep], np.asarray(labels)[keep]
+        backend = bk.train_backend(x, labels, bk.BackendConfig(
+            kind=kind, rank_speaker=2, rank_channel=2, em_iters=3))
+        prepped = bk.preprocess(backend, x)
+        ref = np.vstack([prepped[labels == c].mean(axis=0) for c in np.unique(labels)])
+        if kind == "cosine":
+            ref = bk.length_normalize(ref)
+        cohort = sn.build_cohort(x, labels, backend)
+        np.testing.assert_allclose(cohort, ref, rtol=1e-12, atol=0)
+
     def test_empty_rejected(self):
         backend = bk.Backend("cosine", np.zeros(2))
         with pytest.raises(ValueError):
