@@ -148,15 +148,17 @@ def train_plda(embeddings: np.ndarray, labels, cfg: BackendConfig = BackendConfi
 
     mu = x.mean(axis=0)
     xc = x - mu
-    rng = np.random.default_rng(cfg.seed)
-    avg_var = float(np.mean(np.var(xc, axis=0))) or 1.0
-    v = rng.standard_normal((d, rs)) * np.sqrt(avg_var / rs)
-    u = rng.standard_normal((d, rc)) * np.sqrt(avg_var / rc)
-    psi = np.var(xc, axis=0) + 1e-6 * avg_var
-
     sums = np.zeros((len(counts), d))  # per-speaker sums of centered data
     np.add.at(sums, spk, xc)
     scatter = xc.T @ xc
+    del xc  # EM needs only the speaker sums and the scatter
+    var = np.diag(scatter) / n
+
+    rng = np.random.default_rng(cfg.seed)
+    avg_var = float(np.mean(var)) or 1.0
+    v = rng.standard_normal((d, rs)) * np.sqrt(avg_var / rs)
+    u = rng.standard_normal((d, rc)) * np.sqrt(avg_var / rc)
+    psi = var + 1e-6 * avg_var
     const = n * d * np.log(2.0 * np.pi)
 
     trace = np.zeros(cfg.em_iters)

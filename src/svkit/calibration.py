@@ -171,20 +171,28 @@ def save_fusion_model(path, model: FusionModel) -> None:
 
 
 def load_fusion_model(path) -> FusionModel:
-    weights: dict[int, float] = {}
-    offset = None
+    """Read ``offset=<float>`` and ``weight_<i>=<float>`` lines, i = 0..n-1.
+
+    Keys and values are stripped of surrounding whitespace, ``<i>`` must be
+    plain decimal digits, and a field given twice is an error.
+    """
+    fields: dict[str | int, float] = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            key, _, value = line.partition("=")
+            key, _, value = (part.strip() for part in line.partition("="))
+            index = key.removeprefix("weight_")
             if key == "offset":
-                offset = float(value)
-            elif key.startswith("weight_"):
-                weights[int(key[len("weight_"):])] = float(value)
+                field: str | int = key
+            elif index != key and index.isascii() and index.isdigit():
+                field = int(index)
             else:
                 raise ValueError(f"line {lineno}: unknown field {key!r}")
-    if offset is None or sorted(weights) != list(range(len(weights))):
+            if field in fields:
+                raise ValueError(f"line {lineno}: duplicate field {key!r}")
+            fields[field] = float(value)
+    offset = fields.pop("offset", None)
+    if offset is None or sorted(fields) != list(range(len(fields))):
         raise ValueError("bad fusion model file")
-    return FusionModel(tuple(weights[i] for i in range(len(weights))), offset)
+    return FusionModel(tuple(fields[i] for i in range(len(fields))), offset)

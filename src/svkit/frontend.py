@@ -193,32 +193,38 @@ def _equal_loudness(freq_hz: np.ndarray) -> np.ndarray:
 
 
 def _levinson(r: np.ndarray, order: int):
-    """Levinson-Durbin recursion; returns predictor coefficients and error."""
-    a = np.zeros(order)
-    err = r[0]
-    if err <= 0:
+    """Levinson-Durbin recursion on autocorrelations ``r`` of shape (..., order + 1).
+
+    Returns predictor coefficients (..., order) and prediction errors (...).
+    The loop runs over the order; each step works on all leading rows at once.
+    """
+    a = np.zeros(r.shape[:-1] + (order,))
+    err = r[..., 0].copy()
+    if np.any(err <= 0):
         raise ValueError("LPC failure: nonpositive autocorrelation")
     for i in range(order):
-        acc = r[i + 1] - np.dot(a[:i], r[i:0:-1])
+        acc = r[..., i + 1] - np.einsum("...j,...j->...", a[..., :i], r[..., i:0:-1])
         k = acc / err
-        a_prev = a[:i].copy()
-        a[i] = k
-        a[:i] = a_prev - k * a_prev[::-1]
+        a[..., :i] -= k[..., None] * a[..., :i][..., ::-1]
+        a[..., i] = k
         err *= 1.0 - k * k
-        if err <= 0:
+        if np.any(err <= 0):
             raise ValueError("LPC failure: unstable linear prediction")
     return a, err
 
 
-def _lpc_to_cepstrum(a: np.ndarray, err: float, num_ceps: int) -> np.ndarray:
-    """Cepstra of the all-pole model 1/(1 - sum a_k z^-k); c0 carries log energy."""
-    c = np.zeros(num_ceps)
-    c[0] = np.log(err)
+def _lpc_to_cepstrum(a: np.ndarray, err: np.ndarray, num_ceps: int) -> np.ndarray:
+    """Cepstra of the all-pole model 1/(1 - sum a_k z^-k); c0 carries log energy.
+
+    ``a`` is (..., order) and ``err`` (...); the loop runs over the coefficients.
+    """
+    c = np.zeros(np.shape(err) + (num_ceps,))
+    c[..., 0] = np.log(err)
     for n in range(1, num_ceps):
-        acc = a[n - 1]
-        for k in range(1, n):
-            acc += (k / n) * c[k] * a[n - k - 1]
-        c[n] = acc
+        k = np.arange(1, n)
+        # sum over k of (k / n) c_k a_{n-k}, with a_j stored at index j - 1
+        c[..., n] = a[..., n - 1] + np.einsum(
+            "...k,...k->...", (k / n) * c[..., 1:n], a[..., : n - 1][..., ::-1])
     return c
 
 
@@ -228,6 +234,8 @@ def plp(wave: Waveform, cfg: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
     Pipeline: power spectrum, mel filterbank, equal-loudness weighting,
     cube-root compression, inverse transform to autocorrelation, linear
     prediction, cepstral recursion. Coefficient 0 is the model log energy.
+    Linear prediction and the cepstral recursion run once on all frames,
+    looping over the prediction order; any unstable frame raises ValueError.
     """
     energies, centers_hz = _mel_energies(wave, cfg)
     compressed = (np.maximum(energies, cfg.energy_floor) * _equal_loudness(centers_hz)) ** (1.0 / 3.0)
@@ -235,10 +243,8 @@ def plp(wave: Waveform, cfg: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
     spectrum = np.concatenate([compressed, compressed[:, -2:0:-1]], axis=1)
     autocorr = np.fft.ifft(spectrum, axis=1).real
     order = cfg.num_plp_coeffs
-    feats = np.empty((energies.shape[0], cfg.num_plp_coeffs))
-    for t in range(energies.shape[0]):
-        a, err = _levinson(autocorr[t, : order + 1], order)
-        feats[t] = _lpc_to_cepstrum(a, err, cfg.num_plp_coeffs)
+    a, err = _levinson(autocorr[:, : order + 1], order)
+    feats = _lpc_to_cepstrum(a, err, cfg.num_plp_coeffs)
     return FeatureMatrix(feats, cfg.frame_shift, cfg.frame_length)
 
 

@@ -304,19 +304,24 @@ def forward_tdnn(frames: np.ndarray, net: Network) -> np.ndarray:
 
 
 def _conv2d(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
-    """3x3 convolution with padding 1; x is (channels, freq, time)."""
+    """3x3 convolution with padding 1; x is (channels, freq, time).
+
+    Lowered to one GEMM (im2col): the nine shifted, strided views of the
+    padded input are copied into a (c_in, 3, 3, h_out, t_out) buffer, which
+    the (c_out, 9 c_in) weight matrix multiplies.
+    """
     c_in, h, t = x.shape
     h_out = (h - 1) // stride + 1
     t_out = (t - 1) // stride + 1
     xp = np.zeros((c_in, h + 2, t + 2), dtype=x.dtype)
     xp[:, 1:-1, 1:-1] = x
-    out = np.zeros((w.shape[0], h_out, t_out), dtype=np.float64)
+    cols = np.empty((c_in, 3, 3, h_out, t_out), dtype=x.dtype)
     for di in range(3):
         for dj in range(3):
-            patch = xp[:, di : di + stride * (h_out - 1) + 1 : stride,
-                       dj : dj + stride * (t_out - 1) + 1 : stride]
-            out += np.tensordot(w[:, :, di, dj], patch, axes=(1, 0))
-    return out
+            cols[:, di, dj] = xp[:, di : di + stride * (h_out - 1) + 1 : stride,
+                                 dj : dj + stride * (t_out - 1) + 1 : stride]
+    out = w.reshape(w.shape[0], 9 * c_in) @ cols.reshape(9 * c_in, h_out * t_out)
+    return out.reshape(w.shape[0], h_out, t_out)
 
 
 def _conv1x1(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:

@@ -274,6 +274,19 @@ class TestPldaTraining:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_peak_memory_below_one_and_a_half_inputs(self):
+        rng = np.random.default_rng(1)
+        labels = np.repeat(np.arange(200), 20)
+        x = rng.standard_normal((4000, 64)) + 2.0 * rng.standard_normal((200, 64))[labels]
+        cfg = bk.BackendConfig(rank_speaker=16, rank_channel=16, em_iters=2)
+        tracemalloc.start()
+        try:
+            bk.train_plda(x, labels, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.nbytes
+
     def test_deterministic_given_seed(self):
         spec = sd.SynthSpec(seed=2, dim=8, num_speakers=12, utts_per_speaker=4,
                             rank_speaker=2, rank_channel=2)

@@ -203,3 +203,29 @@ class TestFusionModelFile:
         (tmp_path / "m.txt").write_text("slope=1\noffset=0\n")
         with pytest.raises(ValueError, match="unknown field"):
             cal.load_fusion_model(tmp_path / "m.txt")
+
+    @pytest.mark.parametrize("text", [
+        "weight_0 = 0.5\noffset = 1\n",
+        "  weight_0=0.5  \n\toffset\t=1\n",
+        "offset=1\nweight_0=0.5\n",
+    ])
+    def test_whitespace_around_keys_and_values_ignored(self, tmp_path, text):
+        (tmp_path / "m.txt").write_text(text)
+        assert cal.load_fusion_model(tmp_path / "m.txt") == cal.FusionModel((0.5,), 1.0)
+
+    @pytest.mark.parametrize("key", ["weight_+0", "weight_-0", "weight_ 0", "weight_0x",
+                                     "weight_", "weight_٠", "weight_0_0"])
+    def test_index_must_be_plain_digits(self, tmp_path, key):
+        (tmp_path / "m.txt").write_text(f"{key}=0.5\noffset=1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown field"):
+            cal.load_fusion_model(tmp_path / "m.txt")
+
+    @pytest.mark.parametrize("text", [
+        "weight_0=0.5\nweight_0=0.5\noffset=1\n",
+        "weight_0=0.5\nweight_00=0.5\noffset=1\n",
+        "weight_0=0.5\noffset=1\n offset = 2\n",
+    ])
+    def test_repeated_field_rejected(self, tmp_path, text):
+        (tmp_path / "m.txt").write_text(text)
+        with pytest.raises(ValueError, match="duplicate field"):
+            cal.load_fusion_model(tmp_path / "m.txt")

@@ -133,7 +133,76 @@ class TestFeatureConfig:
             fe.fbank(fe.Waveform(np.zeros(1000)), cfg)
 
 
+def levinson_ref(r, order):
+    """Scalar Levinson-Durbin recursion for one frame."""
+    a = np.zeros(order)
+    err = r[0]
+    if err <= 0:
+        raise ValueError("LPC failure: nonpositive autocorrelation")
+    for i in range(order):
+        acc = r[i + 1] - np.dot(a[:i], r[i:0:-1])
+        k = acc / err
+        a_prev = a[:i].copy()
+        a[i] = k
+        a[:i] = a_prev - k * a_prev[::-1]
+        err *= 1.0 - k * k
+        if err <= 0:
+            raise ValueError("LPC failure: unstable linear prediction")
+    return a, err
+
+
+def lpc_to_cepstrum_ref(a, err, num_ceps):
+    """Scalar cepstral recursion for one frame."""
+    c = np.zeros(num_ceps)
+    c[0] = np.log(err)
+    for n in range(1, num_ceps):
+        acc = a[n - 1]
+        for k in range(1, n):
+            acc += (k / n) * c[k] * a[n - k - 1]
+        c[n] = acc
+    return c
+
+
+def plp_ref(wave, cfg):
+    """PLP with linear prediction and cepstra computed one frame at a time."""
+    energies, centers_hz = fe._mel_energies(wave, cfg)
+    compressed = (np.maximum(energies, cfg.energy_floor) * fe._equal_loudness(centers_hz)) ** (1 / 3)
+    spectrum = np.concatenate([compressed, compressed[:, -2:0:-1]], axis=1)
+    autocorr = np.fft.ifft(spectrum, axis=1).real
+    order = cfg.num_plp_coeffs
+    return np.array([lpc_to_cepstrum_ref(*levinson_ref(r[: order + 1], order), order)
+                     for r in autocorr])
+
+
 class TestLevinson:
+    @pytest.mark.parametrize("wave", [seeded_noise(16000, 3), tone(440.0, amp=0.3)],
+                             ids=["noise", "tone"])
+    def test_batched_plp_matches_per_frame_reference(self, wave):
+        got = fe.plp(wave, CFG).data
+        ref = plp_ref(wave, CFG)
+        # summation order differs from the scalar loops, so coefficients far
+        # below the row scale carry absolute, not relative, rounding error
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    def test_batch_matches_rows(self):
+        rng = np.random.default_rng(8)
+        # autocorrelations of short random signals are positive definite
+        sig = rng.standard_normal((6, 64))
+        r = np.stack([np.correlate(s, s, "full")[63:63 + 9] for s in sig])
+        a, err = fe._levinson(r, 8)
+        for row, a_row, e_row in zip(r, a, err):
+            a_ref, e_ref = levinson_ref(row, 8)
+            np.testing.assert_allclose(a_row, a_ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(e_row, e_ref, rtol=1e-12)
+
+    def test_one_unstable_frame_fails_the_batch(self):
+        rng = np.random.default_rng(8)
+        sig = rng.standard_normal((5, 64))
+        r = np.stack([np.correlate(s, s, "full")[63:66] for s in sig])
+        r[2] = [1.0, 1.5, 0.1]
+        with pytest.raises(ValueError, match="LPC failure"):
+            fe._levinson(r, 2)
+
     def test_unstable_autocorrelation_raises(self):
         # |reflection coefficient| > 1 forces a nonpositive prediction error
         with pytest.raises(ValueError, match="LPC failure"):

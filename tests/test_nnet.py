@@ -227,6 +227,42 @@ def conv_oracle(x, kern, stride):
     return out
 
 
+def resnet_oracle(frames, spec, w):
+    """ResNet forward from conv_oracle, with the block layout read off the spec."""
+    def f(name):
+        return w[name].astype(float)
+
+    h = np.maximum(bn_ref(conv_oracle(frames.T[None], f("conv1.weight"), 1), w, "conv1.bn"), 0)
+    in_ch = spec.stem_channels
+    for s, (blocks, ch, stride) in enumerate(
+            zip(spec.stage_blocks, spec.stage_channels, spec.stage_strides), start=1):
+        for b in range(blocks):
+            p, st = f"stage{s}.block{b}", stride if b == 0 else 1
+            y = np.maximum(bn_ref(conv_oracle(h, f(f"{p}.conv1.weight"), st), w, f"{p}.bn1"), 0)
+            y = bn_ref(conv_oracle(y, f(f"{p}.conv2.weight"), 1), w, f"{p}.bn2")
+            if st != 1 or in_ch != ch:
+                h = np.einsum("oc,cij->oij", f(f"{p}.proj.weight")[:, :, 0, 0], h[:, ::st, ::st])
+                h = bn_ref(h, w, f"{p}.proj_bn")
+            h = np.maximum(y + h, 0)
+            in_ch = ch
+    mean = h.mean(axis=2)
+    centered = h - mean[:, :, None]
+    std = np.sqrt(np.maximum((centered * centered).mean(axis=2), 0) + nnet.STD_FLOOR)
+    pooled = np.concatenate([mean.T, std.T], axis=0).ravel()
+    return f("dense1.weight") @ pooled + f("dense1.bias")
+
+
+class TestConv2d:
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_conv_oracle_on_odd_sizes(self, stride):
+        rng = np.random.default_rng(11 + stride)
+        x = rng.standard_normal((3, 5, 7))
+        kern = rng.standard_normal((4, 3, 3, 3))
+        out = nnet._conv2d(x, kern, stride)
+        assert out.shape == {1: (4, 5, 7), 2: (4, 3, 4)}[stride]
+        np.testing.assert_allclose(out, conv_oracle(x, kern, stride), rtol=0, atol=1e-12)
+
+
 class TestForwardResnet:
     def test_micro_block_matches_conv_oracle(self):
         w = nnet.init_weights(MICRO_RESNET, 3)
@@ -246,6 +282,19 @@ class TestForwardResnet:
         expected = w["dense1.weight"].astype(float) @ pooled + w["dense1.bias"].astype(float)
         out = nnet.forward_resnet(frames, nnet.prepare(MICRO_RESNET, w))
         np.testing.assert_allclose(out, expected, atol=1e-5)
+
+    def test_stride_without_channel_change_projects_shortcut(self):
+        spec = nnet.ResnetSpec(
+            "resnet-custom", input_freq=5, num_classes=2, embedding_dim=3, stem_channels=4,
+            stage_blocks=(1, 1), stage_channels=(4, 4), stage_strides=(1, 2),
+        )
+        shapes = nnet.tensor_shapes(spec)
+        assert shapes["stage2.block0.proj.weight"] == (4, 4, 1, 1)
+        assert "stage1.block0.proj.weight" not in shapes
+        w = nnet.init_weights(spec, 4)
+        frames = np.random.default_rng(6).standard_normal((9, 5))
+        np.testing.assert_allclose(nnet.forward_resnet(frames, nnet.prepare(spec, w)),
+                                   resnet_oracle(frames, spec, w), rtol=0, atol=1e-10)
 
     def test_zero_dense_zero_embedding(self):
         w = nnet.init_weights(MICRO_RESNET, 1)
