@@ -16,7 +16,8 @@ Preprocessing order is fixed: center, LDA, length-normalize for the PLDA
 path; centering only for the cosine path.
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -43,24 +44,53 @@ class BackendConfig:
             raise ValueError("PLDA subspace ranks must be >= 1")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PldaModel:
     mu: np.ndarray
     V: np.ndarray
     U: np.ndarray
     psi: np.ndarray
     loglik_trace: np.ndarray | None = None
-    _scorer: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=np.float64)
-        self.V = np.asarray(self.V, dtype=np.float64)
-        self.U = np.asarray(self.U, dtype=np.float64)
-        self.psi = np.asarray(self.psi, dtype=np.float64)
+        for name in ("mu", "V", "U", "psi"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        d = len(self.mu) if self.mu.ndim == 1 else -1
+        if self.psi.shape != (d,) or any(m.ndim != 2 or len(m) != d for m in (self.V, self.U)):
+            raise ValueError(f"inconsistent PLDA shapes: mu {self.mu.shape}, V {self.V.shape}, "
+                             f"U {self.U.shape}, psi {self.psi.shape}")
 
     @property
     def dim(self) -> int:
         return len(self.mu)
+
+    @functools.cached_property
+    def scorer(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """``(quad, h, const)`` of the two-covariance log-likelihood ratio, from one
+        Cholesky factor each of the within, total and sum-channel covariances.
+        A model that is not positive definite raises ValueError at first use."""
+        if np.any(self.psi <= 0.0):
+            raise ValueError("within covariance not positive definite")
+        between = self.V @ self.V.T
+        within = self.U @ self.U.T + np.diag(self.psi)
+        total = between + within
+        within_inv, within_logdet = _inverse_logdet(within, "within covariance")
+        total_inv, total_logdet = _inverse_logdet(total, "total covariance")
+        # covariance of the shared-factor sum channel
+        sum_inv, sum_logdet = _inverse_logdet(total + between, "sum-channel covariance")
+        quad = 0.5 * (total_inv - 0.5 * (sum_inv + within_inv))
+        h = 0.5 * (sum_inv - within_inv)
+        return quad, h, total_logdet - 0.5 * sum_logdet - 0.5 * within_logdet
+
+
+def _inverse_logdet(mat: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """Inverse and log-determinant of a symmetric matrix from one Cholesky factor."""
+    try:
+        cho = scipy.linalg.cho_factor(mat)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"{what} not positive definite") from exc
+    inv = scipy.linalg.cho_solve(cho, np.eye(len(mat)))
+    return inv, 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
 
 
 def estimate_center(embeddings: np.ndarray) -> np.ndarray:
@@ -164,7 +194,7 @@ def train_plda(embeddings: np.ndarray, labels, cfg: BackendConfig = BackendConfi
     trace = np.zeros(cfg.em_iters)
     for it in range(cfg.em_iters):
         ut_lam = u.T / psi
-        cov_w = scipy.linalg.inv(np.eye(rc) + ut_lam @ u)  # w-posterior given h
+        cov_w = _inverse_logdet(np.eye(rc) + ut_lam @ u, "w-posterior precision")[0]
         gain = cov_w @ ut_lam  # K, (rc, d)
         cho = scipy.linalg.cho_factor(u @ u.T + np.diag(psi))
         sw_v = scipy.linalg.cho_solve(cho, v)  # Sigma_w^-1 V
@@ -204,44 +234,15 @@ def train_plda(embeddings: np.ndarray, labels, cfg: BackendConfig = BackendConfi
     return PldaModel(mu, v, u, psi, loglik_trace=trace)
 
 
-def _two_cov_scorer(model: PldaModel):
-    if model._scorer is not None:
-        return model._scorer
-    if np.any(model.psi <= 0.0):
-        raise ValueError("within covariance not positive definite")
-    d = model.dim
-    between = model.V @ model.V.T
-    within = model.U @ model.U.T + np.diag(model.psi)
-    try:
-        scipy.linalg.cholesky(within)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("within covariance not positive definite") from exc
-    total = between + within
-    sum_cov = total + between  # covariance of the shared-factor sum channel
-    total_inv = scipy.linalg.inv(total)
-    sum_inv = scipy.linalg.inv(sum_cov)
-    within_inv = scipy.linalg.inv(within)
-    f = 0.5 * (sum_inv + within_inv)
-    h = 0.5 * (sum_inv - within_inv)
-    quad = 0.5 * (total_inv - f)
-    const = (
-        float(np.linalg.slogdet(total)[1])
-        - 0.5 * float(np.linalg.slogdet(sum_cov)[1])
-        - 0.5 * float(np.linalg.slogdet(within)[1])
-    )
-    model._scorer = (quad, h, const)
-    return model._scorer
-
-
 def plda_llr(model: PldaModel, enroll: np.ndarray, test: np.ndarray) -> float:
     """Log-likelihood ratio of same speaker versus different speakers."""
-    quad, h, const = _two_cov_scorer(model)
+    quad, h, const = model.scorer
     a = np.asarray(enroll, dtype=np.float64) - model.mu
     b = np.asarray(test, dtype=np.float64) - model.mu
     return float(a @ quad @ a + b @ quad @ b - a @ h @ b + const)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Backend:
     """Trained scorer state: centering mean plus the model for its kind."""
 
@@ -286,48 +287,63 @@ def average_embeddings(embeddings) -> np.ndarray:
     return x.mean(axis=0)
 
 
-def score_trials(backend: Backend, embeddings_by_id, trials: TrialList) -> ScoreSet:
-    """One backend score per trial, in trial order."""
-    cache: dict[str, np.ndarray] = {}
-
-    def prepped(utt: str) -> np.ndarray:
-        if utt not in cache:
+def preprocess_by_id(backend: Backend, embeddings_by_id, ids) -> dict[str, np.ndarray]:
+    """Preprocessed vector of each distinct id, in first-seen order, from one
+    ``preprocess`` call per id, so it is the same whichever command asks."""
+    out: dict[str, np.ndarray] = {}
+    for utt in ids:
+        if utt not in out:
             if utt not in embeddings_by_id:
                 raise ValueError(f"unknown utterance id: {utt}")
-            cache[utt] = preprocess(backend, np.asarray(embeddings_by_id[utt]))
-        return cache[utt]
+            out[utt] = preprocess(backend, np.asarray(embeddings_by_id[utt]))
+    return out
 
-    scores = np.array([
-        score_pair(backend, prepped(e), prepped(t))
-        for e, t in zip(trials.enroll, trials.test)
-    ])
+
+def score_trials(backend: Backend, embeddings_by_id, trials: TrialList) -> ScoreSet:
+    """One backend score per trial, in trial order."""
+    pairs = trials.pairs()
+    prepped = preprocess_by_id(backend, embeddings_by_id, (u for pair in pairs for u in pair))
+    scores = np.array([score_pair(backend, prepped[e], prepped[t]) for e, t in pairs])
     return ScoreSet(list(trials.enroll), list(trials.test), scores)
+
+
+# in file order, so that saved backends stay byte-identical
+PLDA_TENSORS = ("lda.mat", "plda.mu", "plda.V", "plda.U", "plda.psi")
 
 
 def save_backend(path, backend: Backend, cohort: np.ndarray | None = None) -> None:
     tensors = {"center.mean": backend.mean}
     if backend.kind == "plda":
-        tensors["lda.mat"] = backend.lda
-        tensors["plda.mu"] = backend.plda.mu
-        tensors["plda.V"] = backend.plda.V
-        tensors["plda.U"] = backend.plda.U
-        tensors["plda.psi"] = backend.plda.psi
+        p = backend.plda
+        tensors.update(zip(PLDA_TENSORS, (backend.lda, p.mu, p.V, p.U, p.psi)))
     if cohort is not None:
         tensors["cohort.means"] = cohort
     tensorio.write_tensors(path, tensors)
 
 
 def load_backend(path) -> tuple[Backend, np.ndarray | None]:
-    tensors = tensorio.read_tensors(path)
-    if "center.mean" not in tensors:
-        raise ValueError("bad weight file: missing center.mean")
-    mean = tensors["center.mean"].astype(np.float64)
+    """Read a backend file; a missing, misshapen or non-finite tensor is an error."""
+    tensors = {k: v.astype(np.float64) for k, v in tensorio.read_tensors(path).items()}
+    nonfinite = [name for name, value in tensors.items() if not np.all(np.isfinite(value))]
+    if nonfinite:
+        raise ValueError(f"bad backend file: non-finite values in {nonfinite[0]}")
+    mean = tensors.get("center.mean")
+    if mean is None or mean.ndim != 1:
+        raise ValueError("bad backend file: center.mean must be a vector")
+    backend, dim = Backend("cosine", mean), len(mean)  # dim: of the vectors that are scored
+    if any(name in tensors for name in PLDA_TENSORS):
+        missing = [name for name in PLDA_TENSORS if name not in tensors]
+        if missing:
+            raise ValueError(f"bad backend file: missing {missing[0]}")
+        lda, *params = (tensors[name] for name in PLDA_TENSORS)
+        try:
+            model = PldaModel(*params)
+        except ValueError as exc:
+            raise ValueError(f"bad backend file: {exc}") from exc
+        if lda.shape != (model.dim, len(mean)):
+            raise ValueError(f"bad backend file: lda.mat {lda.shape} is not (plda dim, mean dim)")
+        backend, dim = Backend("plda", mean, lda, model), model.dim
     cohort = tensors.get("cohort.means")
-    if cohort is not None:
-        cohort = cohort.astype(np.float64)
-    if "plda.V" in tensors:
-        model = PldaModel(
-            tensors["plda.mu"], tensors["plda.V"], tensors["plda.U"], tensors["plda.psi"]
-        )
-        return Backend("plda", mean, tensors["lda.mat"].astype(np.float64), model), cohort
-    return Backend("cosine", mean), cohort
+    if cohort is not None and (cohort.ndim != 2 or cohort.shape[1] != dim):
+        raise ValueError(f"bad backend file: cohort.means is {cohort.shape}, not (n, {dim})")
+    return backend, cohort

@@ -174,7 +174,8 @@ def load_fusion_model(path) -> FusionModel:
     """Read ``offset=<float>`` and ``weight_<i>=<float>`` lines, i = 0..n-1.
 
     Keys and values are stripped of surrounding whitespace, ``<i>`` must be
-    plain decimal digits, and a field given twice is an error.
+    plain decimal digits, values must be finite and free of ``_`` digit
+    separators, and a field given twice is an error.
     """
     fields: dict[str | int, float] = {}
     with open(path, "r", encoding="utf-8") as f:
@@ -191,7 +192,10 @@ def load_fusion_model(path) -> FusionModel:
                 raise ValueError(f"line {lineno}: unknown field {key!r}")
             if field in fields:
                 raise ValueError(f"line {lineno}: duplicate field {key!r}")
-            fields[field] = float(value)
+            number = float(value)
+            if "_" in value or not np.isfinite(number):
+                raise ValueError(f"line {lineno}: bad number {value!r}")
+            fields[field] = number
     offset = fields.pop("offset", None)
     if offset is None or sorted(fields) != list(range(len(fields))):
         raise ValueError("bad fusion model file")

@@ -51,6 +51,8 @@ def _read_labels(path) -> dict[str, str]:
                 continue
             if len(parts) != 2:
                 raise ValueError(f"{path}: line {lineno}: expected 'utt speaker'")
+            if parts[0] in labels:
+                raise ValueError(f"{path}: line {lineno}: duplicate utterance id {parts[0]}")
             labels[parts[0]] = parts[1]
     return labels
 
@@ -197,11 +199,8 @@ def cmd_snorm(args) -> int:
     if args.cohort_scores_out:
         # cache of per-utterance cohort scores, one row per sorted trial utt
         ids = sorted(set(trials.enroll) | set(trials.test))
-        matrix = np.stack([
-            scorenorm.cohort_scores(
-                backend, backend_mod.preprocess(backend, embeddings[u]), cohort)
-            for u in ids
-        ])
+        prepped = backend_mod.preprocess_by_id(backend, embeddings, ids)
+        matrix = np.stack([scorenorm.cohort_scores(backend, x, cohort) for x in prepped.values()])
         tensorio.write_feature_matrix(args.cohort_scores_out, matrix)
     print(f"normalized {len(out)} trials (top_x={cfg.snorm_top_x})", file=sys.stderr)
     return 0

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import Backend, length_normalize, preprocess, score_pair
+from .backend import (Backend, length_normalize, preprocess, preprocess_by_id, score_pair,
+                      score_trials)
 from .trials import ScoreSet, TrialList
 
 
@@ -71,32 +72,14 @@ def snorm_scores(backend: Backend, embeddings_by_id, trials: TrialList,
     Cohort scores are raw backend scores; each utterance's cohort vector is
     computed once and reused across trials.
     """
-    prep_cache: dict[str, np.ndarray] = {}
-    cohort_cache: dict[str, np.ndarray] = {}
-
-    def prepped(utt: str) -> np.ndarray:
-        if utt not in prep_cache:
-            if utt not in embeddings_by_id:
-                raise ValueError(f"unknown utterance id: {utt}")
-            prep_cache[utt] = preprocess(backend, np.asarray(embeddings_by_id[utt]))
-        return prep_cache[utt]
-
-    def against_cohort(utt: str) -> np.ndarray:
-        if utt not in cohort_cache:
-            cohort_cache[utt] = cohort_scores(backend, prepped(utt), cohort)
-        return cohort_cache[utt]
-
     if raw is None:
-        raw_scores = np.array([
-            score_pair(backend, prepped(e), prepped(t))
-            for e, t in zip(trials.enroll, trials.test)
-        ])
-    else:
-        if raw.pairs() != trials.pairs():
-            raise ValueError("raw scores do not match the trial list")
-        raw_scores = raw.scores
+        raw = score_trials(backend, embeddings_by_id, trials)
+    elif raw.pairs() != trials.pairs():
+        raise ValueError("raw scores do not match the trial list")
+    pairs = trials.pairs()
+    prepped = preprocess_by_id(backend, embeddings_by_id, (u for pair in pairs for u in pair))
+    against = {utt: cohort_scores(backend, x, cohort) for utt, x in prepped.items()}
     normalized = np.array([
-        adapt_snorm(s, against_cohort(e), against_cohort(t), cfg)
-        for s, e, t in zip(raw_scores, trials.enroll, trials.test)
+        adapt_snorm(s, against[e], against[t], cfg) for s, (e, t) in zip(raw.scores, pairs)
     ])
     return ScoreSet(list(trials.enroll), list(trials.test), normalized)

@@ -70,6 +70,8 @@ def read_tensors(path) -> dict[str, np.ndarray]:
             if len(data) < offset + name_len:
                 raise struct.error("short read")
             offset += name_len
+            if name in out:
+                raise ValueError(f"bad weight file: duplicate tensor {name!r}")
             (rank,) = struct.unpack_from("<B", data, offset)
             offset += 1
             dims = struct.unpack_from(f"<{rank}I", data, offset) if rank else ()

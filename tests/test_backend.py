@@ -1,5 +1,6 @@
 """Tests for centering, LDA, length norm, PLDA training/scoring, cosine."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ import scipy.stats
 
 from svkit import backend as bk
 from svkit import synthdata as sd
+from svkit import tensorio
 from svkit.trials import TrialList
 
 
@@ -344,6 +346,53 @@ class TestPldaLlr:
         with pytest.raises(ValueError, match="positive definite"):
             bk.plda_llr(model, np.ones(2), np.ones(2))
 
+    def test_model_is_frozen(self):
+        model = bk.PldaModel(np.zeros(2), np.eye(2), np.eye(2), np.ones(2))
+        before = bk.plda_llr(model, np.ones(2), -np.ones(2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.psi = model.psi * 4  # would leave a cached scorer stale
+        assert bk.plda_llr(model, np.ones(2), -np.ones(2)) == before
+
+    def test_scorer_built_once(self):
+        model = bk.PldaModel(np.zeros(3), np.eye(3)[:, :1], np.eye(3)[:, 1:], np.ones(3))
+        assert model.scorer is model.scorer
+
+    @pytest.mark.parametrize("shapes", [
+        ((3,), (3, 1), (3, 1), (2,)),
+        ((3,), (2, 1), (3, 1), (3,)),
+        ((3,), (3, 1), (3,), (3,)),
+        ((3, 1), (3, 1), (3, 1), (3,)),
+    ])
+    def test_inconsistent_shapes_rejected(self, shapes):
+        with pytest.raises(ValueError, match="inconsistent PLDA shapes"):
+            bk.PldaModel(*(np.ones(shape) for shape in shapes))
+
+    # With psi down to 1e-4 the speaker factors are scaled down, so that the
+    # LLRs stay O(10) and 1e-9 absolute is a test of the scorer, not of the oracle.
+    @pytest.mark.parametrize("psi_min, v_scale", [(0.2, 1.2), (1e-4, 0.1)])
+    def test_matches_joint_gaussian_oracle_at_d12(self, psi_min, v_scale):
+        d = 12
+        gen = np.random.default_rng(12)
+        v = gen.standard_normal((d, 3)) * v_scale
+        u = gen.standard_normal((d, 3)) * 0.5
+        mu = gen.standard_normal(d) * 0.3
+        psi = np.geomspace(psi_min, 1.0, d)[gen.permutation(d)]
+        model = bk.PldaModel(mu, v, u, psi)
+        between = v @ v.T
+        total = between + u @ u.T + np.diag(psi)
+        same = scipy.stats.multivariate_normal(
+            np.concatenate([mu, mu]), np.block([[total, between], [between, total]]))
+        diff = scipy.stats.multivariate_normal(
+            np.concatenate([mu, mu]), scipy.linalg.block_diag(total, total))
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            h = rng.standard_normal((2, 3))[: rng.integers(1, 3)]  # same or two speakers
+            a, b = (mu + v @ h[k % len(h)] + u @ rng.standard_normal(3)
+                    + np.sqrt(psi) * rng.standard_normal(d) for k in range(2))
+            pair = np.concatenate([a, b])
+            expected = same.logpdf(pair) - diff.logpdf(pair)
+            assert abs(bk.plda_llr(model, a, b) - expected) < 1e-9
+
 
 class TestCosine:
     def test_identical_vectors(self):
@@ -412,6 +461,21 @@ class TestScoreTrials:
         backend, by_id = self.make_backend()
         with pytest.raises(ValueError, match="u999999"):
             bk.score_trials(backend, by_id, TrialList(["u999999"], ["u000000"]))
+
+    def test_preprocess_by_id_once_per_id_in_first_seen_order(self, monkeypatch):
+        backend, by_id = self.make_backend()
+        seen = []
+
+        def counting(b, emb):
+            seen.append(emb)
+            return bk.length_normalize(np.asarray(emb) @ b.lda.T)
+
+        monkeypatch.setattr(bk, "preprocess", counting)
+        out = bk.preprocess_by_id(backend, by_id, ["u000003", "u000001", "u000003", "u000002"])
+        assert list(out) == ["u000003", "u000001", "u000002"]
+        assert len(seen) == 3 and seen[0] is by_id["u000003"]
+        with pytest.raises(ValueError, match="unknown utterance id: u999998$"):
+            bk.preprocess_by_id(backend, by_id, ["u000001", "u999998", "u999999"])
 
     def test_plda_preprocessing_is_center_lda_lengthnorm(self):
         backend, by_id = self.make_backend()
@@ -483,3 +547,24 @@ class TestBackendFile:
         loaded, cohort = bk.load_backend(tmp_path / "b.svw")
         assert loaded.kind == "cosine"
         assert cohort is None
+
+    @pytest.mark.parametrize("drop, replace, message", [
+        ("center.mean", {}, "center.mean must be a vector"),
+        (None, {"center.mean": np.zeros((6, 1))}, "center.mean must be a vector"),
+        ("plda.mu", {}, "missing plda.mu"),
+        ("lda.mat", {}, "missing lda.mat"),
+        (None, {"lda.mat": np.ones((3, 6))}, r"lda.mat \(3, 6\)"),
+        (None, {"lda.mat": np.ones((6, 5))}, r"lda.mat \(6, 5\)"),
+        (None, {"plda.psi": np.ones(5)}, "inconsistent PLDA shapes"),
+        (None, {"cohort.means": np.ones((8, 5))}, r"cohort.means is \(8, 5\)"),
+        (None, {"plda.V": np.full((6, 2), np.nan)}, "non-finite values in plda.V"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, drop, replace, message):
+        backend = bk.Backend("plda", np.zeros(6), np.eye(6), bk.PldaModel(
+            np.zeros(6), np.ones((6, 2)), np.ones((6, 2)), np.ones(6)))
+        bk.save_backend(tmp_path / "b.svw", backend, np.zeros((8, 6)))
+        tensors = tensorio.read_tensors(tmp_path / "b.svw")
+        tensors.pop(drop, None)
+        tensorio.write_tensors(tmp_path / "b.svw", tensors | replace)
+        with pytest.raises(ValueError, match=f"bad backend file: {message}"):
+            bk.load_backend(tmp_path / "b.svw")

@@ -229,3 +229,15 @@ class TestFusionModelFile:
         (tmp_path / "m.txt").write_text(text)
         with pytest.raises(ValueError, match="duplicate field"):
             cal.load_fusion_model(tmp_path / "m.txt")
+
+    @pytest.mark.parametrize("text", [
+        "weight_0=nan\noffset=1\n",
+        "weight_0=0.5\noffset=1_0\n",
+        "weight_0=inf\noffset=1\n",
+        "weight_0=0.5\noffset=-inf\n",
+        "weight_0=1e999\noffset=1\n",
+    ])
+    def test_non_finite_or_underscored_number_rejected(self, tmp_path, text):
+        (tmp_path / "m.txt").write_text(text)
+        with pytest.raises(ValueError, match="bad number"):
+            cal.load_fusion_model(tmp_path / "m.txt")

@@ -243,6 +243,35 @@ class TestPipelineChain:
         err = capsys.readouterr().err
         assert err.startswith("error: PLDA subspace ranks") and err.count("\n") == 1
 
+    def test_duplicate_label_is_data_error(self, tmp_path, capsys):
+        from svkit import tensorio
+
+        rng = np.random.default_rng(0)
+        tensorio.write_tensors(tmp_path / "emb.svw",
+                               {f"u{i}": rng.standard_normal(4) for i in range(6)})
+        (tmp_path / "labels.txt").write_text(
+            "".join(f"u{i} s{i % 2}\n" for i in range(6)) + "u0 s1\n")
+        assert cli.main(["train_plda", "--embeddings", str(tmp_path / "emb.svw"),
+                         "--labels", str(tmp_path / "labels.txt"), "--backend", "cosine",
+                         "--out", str(tmp_path / "backend.svw")]) == 2
+        err = capsys.readouterr().err
+        assert "line 7: duplicate utterance id u0" in err and err.count("\n") == 1
+        assert not (tmp_path / "backend.svw").exists()
+
+    def test_malformed_backend_file_is_data_error(self, tmp_path, capsys):
+        from svkit import tensorio
+
+        tensorio.write_tensors(tmp_path / "backend.svw",
+                               {"center.mean": np.zeros(4), "plda.V": np.ones((4, 2))})
+        tensorio.write_tensors(tmp_path / "emb.svw", {"a": np.ones(4), "b": -np.ones(4)})
+        save_trials(tmp_path / "trials.txt", TrialList(["a"], ["b"]))
+        assert cli.main(["score", "--backend-file", str(tmp_path / "backend.svw"),
+                         "--embeddings", str(tmp_path / "emb.svw"),
+                         "--trials", str(tmp_path / "trials.txt"),
+                         "--out", str(tmp_path / "raw.scores")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad backend file: missing") and err.count("\n") == 1
+
     def test_tdnn_embedding_dim_is_data_error(self, tmp_path, capsys):
         from svkit import tensorio
 

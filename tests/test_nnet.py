@@ -1,5 +1,7 @@
 """Tests for network specs, forward passes, initialization, and weight files."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -342,6 +344,13 @@ class TestWeightFiles:
         path = tmp_path / "w.svw"
         nnet.save_weights({}, path)
         assert nnet.load_weights(path) == {}
+
+    def test_duplicate_tensor_name_rejected(self, tmp_path):
+        record = struct.pack("<H", 1) + b"a" + struct.pack("<BI", 1, 1) + struct.pack("<f", 1.0)
+        path = tmp_path / "w.svw"
+        path.write_bytes(b"SVW1" + struct.pack("<I", 2) + record + record)
+        with pytest.raises(ValueError, match="bad weight file: duplicate tensor 'a'"):
+            nnet.load_weights(path)
 
     def test_resnet_spec_validation(self):
         with pytest.raises(ValueError, match="embedding_dim"):

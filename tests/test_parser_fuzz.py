@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svkit import calibration, tensorio, trials
+from svkit import backend, calibration, tensorio, trials
 from svkit.config import PipelineConfig, load_config
 
 
@@ -115,6 +115,42 @@ def test_tensor_store_parses_or_raises_value_error(fuzz_path, data):
     out = parse_or_value_error(tensorio.read_tensors, fuzz_path, data)
     if out is not None:
         assert all(isinstance(k, str) and v.dtype == np.float32 for k, v in out.items())
+
+
+# ---------------------------------------------------------------------------
+# Backend files: well-formed SVW1 stores whose tensors may be missing or misshapen
+
+BACKEND_TENSORS = ("center.mean", "lda.mat", "plda.mu", "plda.V", "plda.U", "plda.psi",
+                   "cohort.means")
+
+
+@st.composite
+def backend_tensors(draw):
+    """A random subset of the backend tensors, each with a consistent or random shape."""
+    d, p, r = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    consistent = {"center.mean": (d,), "lda.mat": (p, d), "plda.mu": (p,), "plda.V": (p, r),
+                  "plda.U": (p, r), "plda.psi": (p,), "cohort.means": (2, p)}
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    out = {}
+    for name in draw(st.lists(st.sampled_from(BACKEND_TENSORS), unique=True)):
+        shape = draw(st.one_of(st.just(consistent[name]),
+                               st.lists(st.integers(0, 3), max_size=3).map(tuple)))
+        out[name] = rng.standard_normal(shape)
+        if out[name].size and draw(st.booleans()):
+            out[name].flat[0] = draw(st.sampled_from([np.nan, np.inf, 0.0]))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(tensors=backend_tensors())
+def test_backend_file_loads_or_raises_value_error(fuzz_path, tensors):
+    tensorio.write_tensors(fuzz_path, tensors)
+    try:
+        model, cohort = backend.load_backend(fuzz_path)
+    except ValueError:
+        return
+    dim = model.plda.dim if model.kind == "plda" else len(model.mean)
+    assert cohort is None or cohort.shape[1] == dim
 
 
 # ---------------------------------------------------------------------------
