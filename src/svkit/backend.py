@@ -303,7 +303,12 @@ def score_trials(backend: Backend, embeddings_by_id, trials: TrialList) -> Score
     """One backend score per trial, in trial order."""
     pairs = trials.pairs()
     prepped = preprocess_by_id(backend, embeddings_by_id, (u for pair in pairs for u in pair))
-    scores = np.array([score_pair(backend, prepped[e], prepped[t]) for e, t in pairs])
+    return _score_prepped(backend, prepped, trials)
+
+
+def _score_prepped(backend: Backend, prepped, trials: TrialList) -> ScoreSet:
+    """Trial scores from the ``preprocess_by_id`` vectors of every trial utterance."""
+    scores = np.array([score_pair(backend, prepped[e], prepped[t]) for e, t in trials.pairs()])
     return ScoreSet(list(trials.enroll), list(trials.test), scores)
 
 

@@ -192,7 +192,10 @@ def load_fusion_model(path) -> FusionModel:
                 raise ValueError(f"line {lineno}: unknown field {key!r}")
             if field in fields:
                 raise ValueError(f"line {lineno}: duplicate field {key!r}")
-            number = float(value)
+            try:
+                number = float(value)
+            except ValueError:
+                number = np.nan  # unparsable, reported below like a non-finite value
             if "_" in value or not np.isfinite(number):
                 raise ValueError(f"line {lineno}: bad number {value!r}")
             fields[field] = number

@@ -143,7 +143,7 @@ def cmd_embed(args) -> int:
         if args.vad_dir:
             mask = tensorio.read_feature_matrix(Path(args.vad_dir) / f"{path.stem}.vad")
             feats = frontend.apply_vad(feats, mask[:, 0] > 0.5)
-        out[path.stem] = nnet.forward(feats.data, net).astype(np.float32)
+        out[path.stem] = nnet.forward(feats.data.astype(np.float32), net).astype(np.float32)
     tensorio.write_tensors(args.out, out)
     print(f"embedded {len(out)} utterances with {cfg.arch}", file=sys.stderr)
     return 0

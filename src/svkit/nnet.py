@@ -2,10 +2,12 @@
 
 Network specs are declarative layer descriptions; forward passes are
 deterministic numpy inference (batch norm always uses stored running
-statistics). Frame layers of the TDNN apply splice, affine, ReLU, batch
-norm in that order; the embedding is the pre-activation output of the
-first segment-level affine. The ResNet pools mean and standard deviation
-over time and taps the embedding before the Dense1 nonlinearity.
+statistics) in the dtype of the frames, float32 or float64: ``svkit
+embed`` runs float32 and float64 is the tests' reference. Frame layers
+of the TDNN apply splice, affine, ReLU, batch norm in that order; the
+embedding is the pre-activation output of the first segment-level
+affine. The ResNet pools mean and standard deviation over time and taps
+the embedding before the Dense1 nonlinearity.
 """
 
 from collections.abc import Iterator, Mapping
@@ -272,35 +274,37 @@ def prepare(spec: NetworkSpec, weights: dict[str, np.ndarray]) -> Network:
 # Forward passes
 
 
-def _f64(w: Mapping[str, np.ndarray], name: str) -> np.ndarray:
-    # cast where used: float64 copies of every weight would double a network's memory
-    return np.asarray(w[name], dtype=np.float64)
-
-
 def _bn(x: np.ndarray, w: Mapping[str, np.ndarray], prefix: str) -> np.ndarray:
-    inv = _f64(w, f"{prefix}.scale") / np.sqrt(_f64(w, f"{prefix}.var") + BN_EPS)
-    mean, shift = _f64(w, f"{prefix}.mean"), _f64(w, f"{prefix}.shift")
+    scale, var, mean, shift = (w[f"{prefix}.{stat}"].astype(x.dtype, copy=False)
+                               for stat in ("scale", "var", "mean", "shift"))
+    inv = scale / np.sqrt(var + BN_EPS)
     if x.ndim == 3:  # (channels, freq, time)
         return (x - mean[:, None, None]) * inv[:, None, None] + shift[:, None, None]
     return (x - mean) * inv + shift
 
 
-def forward_tdnn(frames: np.ndarray, net: Network) -> np.ndarray:
-    """Embedding of a feature matrix (frames x input_dim)."""
-    spec, w = net.spec, net.weights
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != spec.input_dim:
+def _check_frames(frames: np.ndarray, dim: int, min_frames: int) -> None:
+    if not isinstance(frames, np.ndarray) or frames.dtype not in (np.float32, np.float64):
+        raise ValueError("frames must be a float32 or float64 array")
+    if frames.ndim != 2 or frames.shape[1] != dim:
         raise ValueError("feature dim mismatch")
-    if frames.shape[0] < 1:
-        raise ValueError("too few frames")
+    if frames.shape[0] < min_frames:
+        raise ValueError(f"too few frames: need at least {min_frames}")
+
+
+def forward_tdnn(frames: np.ndarray, net: Network) -> np.ndarray:
+    """Embedding of a float32 or float64 feature matrix (frames x input_dim)."""
+    spec, w = net.spec, net.weights
+    _check_frames(frames, spec.input_dim, 1)
     x = frames
     for layer, _ in _tdnn_layers(spec):
         if layer.name == "stats":  # the frame layers are done
             break
-        y = splice(x, layer.offsets) @ _f64(w, f"{layer.name}.weight").T
-        y = _bn(np.maximum(y + _f64(w, f"{layer.name}.bias"), 0.0), w, f"{layer.name}.bn")
+        y = splice(x, layer.offsets) @ w[f"{layer.name}.weight"].astype(x.dtype, copy=False).T
+        y = _bn(np.maximum(y + w[f"{layer.name}.bias"], 0.0), w, f"{layer.name}.bn")
         x = y + x if layer.residual else y
-    return _f64(w, "segment1.weight") @ stats_pooling(x) + _f64(w, "segment1.bias")
+    pooled = stats_pooling(x)  # float64 whatever the frames' dtype
+    return w["segment1.weight"].astype(pooled.dtype, copy=False) @ pooled + w["segment1.bias"]
 
 
 def _conv2d(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
@@ -320,38 +324,34 @@ def _conv2d(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
         for dj in range(3):
             cols[:, di, dj] = xp[:, di : di + stride * (h_out - 1) + 1 : stride,
                                  dj : dj + stride * (t_out - 1) + 1 : stride]
-    out = w.reshape(w.shape[0], 9 * c_in) @ cols.reshape(9 * c_in, h_out * t_out)
-    return out.reshape(w.shape[0], h_out, t_out)
+    kern = w.reshape(w.shape[0], 9 * c_in).astype(x.dtype, copy=False)
+    return (kern @ cols.reshape(9 * c_in, h_out * t_out)).reshape(w.shape[0], h_out, t_out)
 
 
 def _conv1x1(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     sub = x[:, ::stride, ::stride]
-    return np.tensordot(w[:, :, 0, 0], sub, axes=(1, 0))
+    return np.tensordot(w[:, :, 0, 0].astype(x.dtype, copy=False), sub, axes=(1, 0))
 
 
 def forward_resnet(frames: np.ndarray, net: Network) -> np.ndarray:
-    """Embedding of a feature matrix (frames x input_freq)."""
+    """Embedding of a float32 or float64 feature matrix (frames x input_freq)."""
     spec, w = net.spec, net.weights
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != spec.input_freq:
-        raise ValueError("feature dim mismatch")
-    if frames.shape[0] < 8:
-        raise ValueError("too few frames: need at least 8")
+    _check_frames(frames, spec.input_freq, 8)
     x = frames.T[None, :, :]  # (1 channel, freq, time)
-    x = np.maximum(_bn(_conv2d(x, _f64(w, "conv1.weight"), 1), w, "conv1.bn"), 0.0)
+    x = np.maximum(_bn(_conv2d(x, w["conv1.weight"], 1), w, "conv1.bn"), 0.0)
     for blk in _resnet_blocks(spec):
         p = blk.name
-        y = _conv2d(x, _f64(w, f"{p}.conv1.weight"), blk.stride)
+        y = _conv2d(x, w[f"{p}.conv1.weight"], blk.stride)
         y = np.maximum(_bn(y, w, f"{p}.bn1"), 0.0)
-        y = _bn(_conv2d(y, _f64(w, f"{p}.conv2.weight"), 1), w, f"{p}.bn2")
+        y = _bn(_conv2d(y, w[f"{p}.conv2.weight"], 1), w, f"{p}.bn2")
         if blk.proj:  # project the shortcut to the block's output shape
-            x = _bn(_conv1x1(x, _f64(w, f"{p}.proj.weight"), blk.stride), w, f"{p}.proj_bn")
+            x = _bn(_conv1x1(x, w[f"{p}.proj.weight"], blk.stride), w, f"{p}.proj_bn")
         x = np.maximum(y + x, 0.0)
     mean = np.mean(x, axis=2)  # (channels, freq)
     centered = x - mean[:, :, None]
     std = np.sqrt(np.maximum(np.mean(centered * centered, axis=2), 0.0) + STD_FLOOR)
     pooled = np.concatenate([mean.T, std.T], axis=0)  # (2*freq, channels)
-    return _f64(w, "dense1.weight") @ pooled.ravel() + _f64(w, "dense1.bias")
+    return w["dense1.weight"].astype(x.dtype, copy=False) @ pooled.ravel() + w["dense1.bias"]
 
 
 def forward(frames: np.ndarray, net: Network) -> np.ndarray:

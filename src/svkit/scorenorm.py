@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import (Backend, length_normalize, preprocess, preprocess_by_id, score_pair,
-                      score_trials)
+from .backend import (Backend, _score_prepped, length_normalize, preprocess, preprocess_by_id,
+                      score_pair)
 from .trials import ScoreSet, TrialList
 
 
@@ -69,15 +69,15 @@ def snorm_scores(backend: Backend, embeddings_by_id, trials: TrialList,
                  raw: ScoreSet | None = None) -> ScoreSet:
     """Normalize every trial of a score set against the cohort.
 
-    Cohort scores are raw backend scores; each utterance's cohort vector is
-    computed once and reused across trials.
+    Cohort scores are raw backend scores; each utterance is preprocessed
+    once, and its cohort vector is computed once and reused across trials.
     """
-    if raw is None:
-        raw = score_trials(backend, embeddings_by_id, trials)
-    elif raw.pairs() != trials.pairs():
-        raise ValueError("raw scores do not match the trial list")
     pairs = trials.pairs()
+    if raw is not None and raw.pairs() != pairs:
+        raise ValueError("raw scores do not match the trial list")
     prepped = preprocess_by_id(backend, embeddings_by_id, (u for pair in pairs for u in pair))
+    if raw is None:
+        raw = _score_prepped(backend, prepped, trials)
     against = {utt: cohort_scores(backend, x, cohort) for utt, x in prepped.items()}
     normalized = np.array([
         adapt_snorm(s, against[e], against[t], cfg) for s, (e, t) in zip(raw.scores, pairs)

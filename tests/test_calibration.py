@@ -1,6 +1,7 @@
 """Tests for weighted fusion, logistic-regression calibration, and the
 pre-calibrate / fuse / re-calibrate pipeline."""
 
+import re
 import warnings
 
 import numpy as np
@@ -240,4 +241,10 @@ class TestFusionModelFile:
     def test_non_finite_or_underscored_number_rejected(self, tmp_path, text):
         (tmp_path / "m.txt").write_text(text)
         with pytest.raises(ValueError, match="bad number"):
+            cal.load_fusion_model(tmp_path / "m.txt")
+
+    @pytest.mark.parametrize("value", ["abc", ""])
+    def test_unparsable_number_names_its_line(self, tmp_path, value):
+        (tmp_path / "m.txt").write_text(f"offset=1\nweight_0={value}\n")
+        with pytest.raises(ValueError, match=re.escape(f"line 2: bad number {value!r}")):
             cal.load_fusion_model(tmp_path / "m.txt")

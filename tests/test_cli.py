@@ -298,3 +298,31 @@ class TestPipelineChain:
                              "--out-dir", str(tmp_path / command)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: invalid audio") and err.count("\n") == 1
+
+
+class TestEmbedCommand:
+    @pytest.mark.parametrize("arch", ["resnet34", "tdnn-standard"])
+    def test_rows_are_the_float32_forward_pass_and_rerun_is_byte_identical(self, tmp_path, arch):
+        from svkit import nnet, tensorio
+
+        corpus, feats, vad = tmp_path / "corpus", tmp_path / "feats", tmp_path / "vad"
+        assert cli.main(["synth", "--out-dir", str(corpus), "--num-speakers", "2",
+                         "--utts-per-speaker", "2", "--duration", "0.4", "--seed", "1"]) == 0
+        assert cli.main(["feats", "--wav-dir", str(corpus), "--out-dir", str(feats)]) == 0
+        assert cli.main(["vad", "--wav-dir", str(corpus), "--out-dir", str(vad)]) == 0
+        embed = ["embed", "--feats-dir", str(feats), "--vad-dir", str(vad), "--arch", arch,
+                 "--seed", "4", "--out"]
+        assert cli.main(embed + [str(tmp_path / "a.svw")]) == 0
+        assert cli.main(embed + [str(tmp_path / "b.svw")]) == 0
+        assert (tmp_path / "a.svw").read_bytes() == (tmp_path / "b.svw").read_bytes()
+
+        rows = tensorio.read_tensors(tmp_path / "a.svw")
+        paths = sorted(feats.glob("*.feat"))
+        assert sorted(rows) == [p.stem for p in paths]
+        spec = nnet.make_spec(arch, tensorio.read_feature_matrix(paths[0]).shape[1], 2)
+        net = nnet.prepare(spec, nnet.init_weights(spec, 4))
+        for path in paths:
+            speech = tensorio.read_feature_matrix(vad / f"{path.stem}.vad")[:, 0] > 0.5
+            frames = tensorio.read_feature_matrix(path)[speech]
+            expected = nnet.forward(frames.astype(np.float32), net).astype(np.float32)
+            assert np.array_equal(rows[path.stem], expected)

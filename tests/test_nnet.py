@@ -1,6 +1,7 @@
 """Tests for network specs, forward passes, initialization, and weight files."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,6 +323,44 @@ class TestForwardResnet:
         w = nnet.init_weights(MICRO_RESNET, 0)
         with pytest.raises(ValueError, match="feature dim mismatch"):
             nnet.forward_resnet(np.ones((8, 5)), nnet.prepare(MICRO_RESNET, w))
+
+
+class TestFloat32Path:
+    """The float32 forward pass that ``svkit embed`` runs, against the float64 reference."""
+
+    @pytest.mark.parametrize("num_frames", [98, 1000])
+    @pytest.mark.parametrize("kind", ["resnet34", "tdnn-standard", "tdnn-big-residual"])
+    def test_close_to_float64_and_deterministic(self, kind, num_frames):
+        spec = nnet.make_spec(kind, 40, 2)
+        net = nnet.prepare(spec, nnet.init_weights(spec, 5))
+        x = np.random.default_rng(num_frames).standard_normal((num_frames, 40))
+        ref = nnet.forward(x, net)
+        out = nnet.forward(x.astype(np.float32), net)
+        assert np.max(np.abs(out - ref)) / np.max(np.abs(ref)) <= 1e-5
+        # TDNN statistics pooling and segment1 stay float64
+        assert out.dtype == (np.float32 if kind == "resnet34" else np.float64)
+        assert np.array_equal(out, nnet.forward(x.astype(np.float32), net))
+
+    def test_resnet_peak_memory_on_1000_frames(self):
+        spec = nnet.resnet_spec(2)
+        net = nnet.prepare(spec, nnet.init_weights(spec, 0))
+        x = np.random.default_rng(0).standard_normal((1000, 40)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            nnet.forward_resnet(x, net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80 * 2**20
+
+    @pytest.mark.parametrize("frames", [np.ones((9, 4), dtype=np.int64), np.ones((9, 4)).tolist(),
+                                        np.ones((9, 4), dtype=np.float16)],
+                             ids=["int64", "list", "float16"])
+    def test_frames_must_be_float32_or_float64_arrays(self, frames):
+        net = nnet.prepare(MICRO_RESNET, nnet.init_weights(MICRO_RESNET, 0))
+        with pytest.raises(ValueError, match="float32 or float64"):
+            nnet.forward(frames, net)
 
 
 class TestWeightFiles:

@@ -163,6 +163,18 @@ class TestSnormScores:
         b = sn.snorm_scores(backend, by_id, trials, cohort, cfg, None)
         np.testing.assert_allclose(a.scores, b.scores, atol=1e-15)
 
+    def test_preprocesses_each_trial_utterance_once(self, monkeypatch):
+        backend, cohort, by_id, trials = self.setup_state()
+        distinct = len({u for pair in trials.pairs() for u in pair})
+        raw = bk.score_trials(backend, by_id, trials)
+        calls = []
+        preprocess = bk.preprocess
+        monkeypatch.setattr(bk, "preprocess", lambda b, x: calls.append(1) or preprocess(b, x))
+        for given in (None, raw):
+            calls.clear()
+            sn.snorm_scores(backend, by_id, trials, cohort, raw=given)
+            assert len(calls) == distinct
+
     def test_mismatched_raw_rejected(self):
         backend, cohort, by_id, trials = self.setup_state()
         wrong = ScoreSet(["u000000"], ["u000001"], np.array([0.5]))
