@@ -279,14 +279,6 @@ def score_pair(backend: Backend, a: np.ndarray, b: np.ndarray) -> float:
     return plda_llr(backend.plda, a, b)
 
 
-def average_embeddings(embeddings) -> np.ndarray:
-    """Multi-session enrollment by plain averaging (off by default upstream)."""
-    x = np.asarray(embeddings, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("need at least one embedding")
-    return x.mean(axis=0)
-
-
 def preprocess_by_id(backend: Backend, embeddings_by_id, ids) -> dict[str, np.ndarray]:
     """Preprocessed vector of each distinct id, in first-seen order, from one
     ``preprocess`` call per id, so it is the same whichever command asks."""

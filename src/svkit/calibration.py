@@ -162,44 +162,3 @@ def calibrate_pipeline(scoresets: list[ScoreSet], key: TrialList, prior: float =
     final = apply_fusion([fused], final_model)
     return CalibrationResult(system_models, fusion_model, final_model, final)
 
-
-def save_fusion_model(path, model: FusionModel) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for i, w in enumerate(model.weights):
-            f.write(f"weight_{i}={w:.17g}\n")
-        f.write(f"offset={model.offset:.17g}\n")
-
-
-def load_fusion_model(path) -> FusionModel:
-    """Read ``offset=<float>`` and ``weight_<i>=<float>`` lines, i = 0..n-1.
-
-    Keys and values are stripped of surrounding whitespace, ``<i>`` must be
-    plain decimal digits, values must be finite and free of ``_`` digit
-    separators, and a field given twice is an error.
-    """
-    fields: dict[str | int, float] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            key, _, value = (part.strip() for part in line.partition("="))
-            index = key.removeprefix("weight_")
-            if key == "offset":
-                field: str | int = key
-            elif index != key and index.isascii() and index.isdigit():
-                field = int(index)
-            else:
-                raise ValueError(f"line {lineno}: unknown field {key!r}")
-            if field in fields:
-                raise ValueError(f"line {lineno}: duplicate field {key!r}")
-            try:
-                number = float(value)
-            except ValueError:
-                number = np.nan  # unparsable, reported below like a non-finite value
-            if "_" in value or not np.isfinite(number):
-                raise ValueError(f"line {lineno}: bad number {value!r}")
-            fields[field] = number
-    offset = fields.pop("offset", None)
-    if offset is None or sorted(fields) != list(range(len(fields))):
-        raise ValueError("bad fusion model file")
-    return FusionModel(tuple(fields[i] for i in range(len(fields))), offset)

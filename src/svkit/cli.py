@@ -31,7 +31,6 @@ def _load_pipeline_config(args) -> PipelineConfig:
     for attr, key in (
         ("seed", "seed"),
         ("backend", "backend"),
-        ("snorm_x", "snorm_top_x"),
         ("dcf_ptarget", "dcf_p_target"),
         ("arch", "arch"),
         ("feat", "feature_type"),
@@ -102,7 +101,7 @@ def cmd_feats(args) -> int:
     for path in wavs:
         wave = frontend.read_wav(path)
         feats = extractor(wave, feat_cfg)
-        if cfg.apply_stmn and not args.no_stmn:
+        if cfg.apply_stmn:
             feats = frontend.stmn(feats, feat_cfg.stmn_window)
         tensorio.write_feature_matrix(out_dir / f"{path.stem}.feat", feats.data)
     print(f"extracted {cfg.feature_type} features for {len(wavs)} files", file=sys.stderr)
@@ -130,10 +129,14 @@ def cmd_embed(args) -> int:
     feat_paths = sorted(Path(args.feats_dir).glob("*.feat"))
     if not feat_paths:
         raise ValueError(f"no feature files in {args.feats_dir}")
-    probe = tensorio.read_feature_matrix(feat_paths[0])
-    spec = nnet.make_spec(cfg.arch, probe.shape[1], max(args.num_classes, 2),
-                          cfg.embedding_dim or None)
-    weights = nnet.load_weights(args.weights) if args.weights else nnet.init_weights(spec, cfg.seed)
+    dim = tensorio.read_feature_matrix(feat_paths[0]).shape[1]
+    if args.weights:
+        weights = nnet.load_weights(args.weights)
+        spec = nnet.make_spec(cfg.arch, dim, nnet.num_classes_of(cfg.arch, weights),
+                              cfg.embedding_dim or None)
+    else:
+        spec = nnet.make_spec(cfg.arch, dim, 2, cfg.embedding_dim or None)
+        weights = nnet.init_weights(spec, cfg.seed)
     net = nnet.prepare(spec, weights)
     out: dict[str, np.ndarray] = {}
     for path in feat_paths:
@@ -212,8 +215,6 @@ def cmd_calibrate(args) -> int:
     key = load_trials(args.key)
     result = calibration.calibrate_pipeline([scores], key, cfg.calibration_prior)
     save_scores(args.out, result.scores)
-    if args.model_out:
-        calibration.save_fusion_model(args.model_out, result.final_model)
     print("calibrated scores written", file=sys.stderr)
     return 0
 
@@ -225,8 +226,6 @@ def cmd_fuse(args) -> int:
         key = load_trials(args.key)
         result = calibration.calibrate_pipeline(scoresets, key, cfg.calibration_prior)
         fused = result.scores
-        if args.model_out:
-            calibration.save_fusion_model(args.model_out, result.fusion_model)
     else:
         weights = ([float(w) for w in args.weights.split(",")] if args.weights
                    else list(cfg.fusion_weights))
@@ -278,7 +277,6 @@ def build_parser() -> _Parser:
     p.add_argument("--wav-dir", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--feat", choices=("fbank", "plp"))
-    p.add_argument("--no-stmn", action="store_true")
     p.set_defaults(func=cmd_feats)
 
     p = sub.add_parser("vad", help="compute energy VAD masks")
@@ -294,7 +292,6 @@ def build_parser() -> _Parser:
     p.add_argument("--arch", choices=nnet.ARCH_KINDS)
     p.add_argument("--vad-dir")
     p.add_argument("--weights", help="weight file (default: seeded random init)")
-    p.add_argument("--num-classes", type=int, default=2)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("train_plda", help="train the scoring backend and cohort")
@@ -319,7 +316,6 @@ def build_parser() -> _Parser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--trials", required=True)
     p.add_argument("--scores", help="raw score file (recomputed when absent)")
-    p.add_argument("--snorm-x", type=int, dest="snorm_x")
     p.add_argument("--out", required=True)
     p.add_argument("--cohort-scores-out",
                    help="cache the per-utterance cohort score matrix (SVF1)")
@@ -330,16 +326,15 @@ def build_parser() -> _Parser:
     p.add_argument("--scores", required=True)
     p.add_argument("--key", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--model-out")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("fuse", help="fuse score sets (weighted or trained)")
     _add_common(p)
     p.add_argument("--scores", nargs="+", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--weights", help="comma-separated weights for weighted mode")
-    p.add_argument("--key", help="keyed trials: train logistic-regression fusion")
-    p.add_argument("--model-out")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--weights", help="comma-separated weights for weighted mode")
+    mode.add_argument("--key", help="keyed trials: train logistic-regression fusion")
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("eval", help="report EER and minimum DCF")

@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+PREEMPHASIS = 0.97
+ENERGY_FLOOR = 1e-10
+
 __all__ = [
     "Waveform",
     "FeatureConfig",
@@ -59,10 +62,6 @@ class FeatureConfig:
     num_filters: int = 40
     num_plp_coeffs: int = 30
     stmn_window: float = 3.0
-    preemphasis: float = 0.97
-    energy_floor: float = 1e-10
-    # Dithering breaks determinism, so it is off unless explicitly enabled.
-    dither: float = 0.0
     vad_energy_mean_scale: float = -0.5
     vad_context: int = 5
 
@@ -137,13 +136,10 @@ def _next_pow2(n: int) -> int:
     return p
 
 
-def _power_spectrum(frames: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
+def _power_spectrum(frames: np.ndarray) -> np.ndarray:
     f = frames.astype(np.float64, copy=True)
-    if cfg.dither > 0.0:
-        # fixed-seed noise keeps features reproducible even with dithering on
-        f += cfg.dither * np.random.default_rng(0).standard_normal(f.shape)
-    f[:, 1:] -= cfg.preemphasis * f[:, :-1]
-    f[:, 0] *= 1.0 - cfg.preemphasis
+    f[:, 1:] -= PREEMPHASIS * f[:, :-1]
+    f[:, 0] *= 1.0 - PREEMPHASIS
     f *= np.hamming(f.shape[1])
     nfft = _next_pow2(f.shape[1])
     return np.abs(np.fft.rfft(f, n=nfft, axis=1)) ** 2
@@ -175,7 +171,7 @@ def _mel_energies(wave: Waveform, cfg: FeatureConfig):
     x = _check_wave(wave, cfg)
     frame_samples, shift_samples = _frame_sizes(cfg, wave.sample_rate)
     frames = _frame_matrix(x, frame_samples, shift_samples)
-    power = _power_spectrum(frames, cfg)
+    power = _power_spectrum(frames)
     fb, centers_hz = _mel_filterbank(cfg, wave.sample_rate, _next_pow2(frame_samples))
     return power @ fb.T, centers_hz
 
@@ -183,7 +179,7 @@ def _mel_energies(wave: Waveform, cfg: FeatureConfig):
 def fbank(wave: Waveform, cfg: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
     """Log mel-filterbank energies, one row per frame."""
     energies, _ = _mel_energies(wave, cfg)
-    feats = np.log(np.maximum(energies, cfg.energy_floor))
+    feats = np.log(np.maximum(energies, ENERGY_FLOOR))
     return FeatureMatrix(feats, cfg.frame_shift, cfg.frame_length)
 
 
@@ -238,7 +234,7 @@ def plp(wave: Waveform, cfg: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
     looping over the prediction order; any unstable frame raises ValueError.
     """
     energies, centers_hz = _mel_energies(wave, cfg)
-    compressed = (np.maximum(energies, cfg.energy_floor) * _equal_loudness(centers_hz)) ** (1.0 / 3.0)
+    compressed = (np.maximum(energies, ENERGY_FLOOR) * _equal_loudness(centers_hz)) ** (1.0 / 3.0)
     # Even-symmetric extension so the inverse FFT yields an autocorrelation.
     spectrum = np.concatenate([compressed, compressed[:, -2:0:-1]], axis=1)
     autocorr = np.fft.ifft(spectrum, axis=1).real
@@ -278,7 +274,7 @@ def _frame_log_energy(wave: Waveform, cfg: FeatureConfig) -> np.ndarray:
     x = _check_wave(wave, cfg)
     frame_samples, shift_samples = _frame_sizes(cfg, wave.sample_rate)
     frames = _frame_matrix(x, frame_samples, shift_samples)
-    return np.log(np.maximum(np.sum(frames * frames, axis=1), cfg.energy_floor))
+    return np.log(np.maximum(np.sum(frames * frames, axis=1), ENERGY_FLOOR))
 
 
 def energy_vad(wave: Waveform, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:

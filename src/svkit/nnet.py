@@ -104,6 +104,13 @@ def make_spec(kind: str, input_dim: int, num_classes: int, embedding_dim: int | 
     raise ValueError(f"unknown architecture kind: {kind}")
 
 
+def num_classes_of(kind: str, weights: Mapping[str, np.ndarray]) -> int:
+    """Rows of the classifier weight in ``weights``; 2 when that tensor is absent
+    or scalar, so that ``validate_weights`` names it as missing or misshapen."""
+    w = weights.get("dense2.weight" if kind == "resnet34" else "softmax.weight")
+    return w.shape[0] if w is not None and w.ndim else 2
+
+
 def splice(frames: np.ndarray, offsets) -> np.ndarray:
     """Concatenate context rows at the given offsets, clamping at the edges."""
     frames = np.asarray(frames)

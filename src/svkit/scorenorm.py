@@ -14,11 +14,12 @@ from .backend import (Backend, _score_prepped, length_normalize, preprocess, pre
                       score_pair)
 from .trials import ScoreSet, TrialList
 
+SIGMA_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class SnormConfig:
     top_x: int = 300
-    sigma_floor: float = 1e-12
 
     def __post_init__(self):
         if self.top_x < 2:
@@ -59,7 +60,7 @@ def adapt_snorm(raw: float, enroll_scores: np.ndarray, test_scores: np.ndarray,
             raise ValueError("cohort score vector must have length >= 2")
         top = np.sort(scores)[::-1][: min(cfg.top_x, len(scores))]
         mu = float(np.mean(top))
-        sigma = max(float(np.std(top)), cfg.sigma_floor)
+        sigma = max(float(np.std(top)), SIGMA_FLOOR)
         out += 0.5 * (raw - mu) / sigma
     return out
 

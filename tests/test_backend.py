@@ -516,16 +516,6 @@ class TestBackendDiscrimination:
         assert eer_plda >= eer_oracle - 0.5  # Bayes bound up to sampling noise
 
 
-class TestAverageEmbeddings:
-    def test_mean_of_sessions(self):
-        x = np.array([[1.0, 3.0], [3.0, 5.0]])
-        np.testing.assert_allclose(bk.average_embeddings(x), [2.0, 4.0], atol=1e-15)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            bk.average_embeddings(np.zeros((0, 2)))
-
-
 class TestBackendFile:
     def test_plda_roundtrip(self, tmp_path):
         spec = sd.SynthSpec(seed=8, dim=6, num_speakers=8, utts_per_speaker=4,

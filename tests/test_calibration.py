@@ -1,7 +1,6 @@
 """Tests for weighted fusion, logistic-regression calibration, and the
 pre-calibrate / fuse / re-calibrate pipeline."""
 
-import re
 import warnings
 
 import numpy as np
@@ -188,63 +187,3 @@ class TestCalibratePipeline:
         with pytest.raises(ValueError, match="labeled"):
             cal.calibrate_pipeline([sset], TrialList(list(key.enroll), list(key.test)))
 
-
-class TestFusionModelFile:
-    def test_roundtrip_exact(self, tmp_path):
-        model = cal.FusionModel((0.4, 0.4, 0.1, 0.1), -0.123456789012345678)
-        cal.save_fusion_model(tmp_path / "m.txt", model)
-        assert cal.load_fusion_model(tmp_path / "m.txt") == model
-
-    def test_file_format(self, tmp_path):
-        cal.save_fusion_model(tmp_path / "m.txt", cal.FusionModel((1.0,), 2.0))
-        text = (tmp_path / "m.txt").read_text()
-        assert text == "weight_0=1\noffset=2\n"
-
-    def test_bad_field_rejected(self, tmp_path):
-        (tmp_path / "m.txt").write_text("slope=1\noffset=0\n")
-        with pytest.raises(ValueError, match="unknown field"):
-            cal.load_fusion_model(tmp_path / "m.txt")
-
-    @pytest.mark.parametrize("text", [
-        "weight_0 = 0.5\noffset = 1\n",
-        "  weight_0=0.5  \n\toffset\t=1\n",
-        "offset=1\nweight_0=0.5\n",
-    ])
-    def test_whitespace_around_keys_and_values_ignored(self, tmp_path, text):
-        (tmp_path / "m.txt").write_text(text)
-        assert cal.load_fusion_model(tmp_path / "m.txt") == cal.FusionModel((0.5,), 1.0)
-
-    @pytest.mark.parametrize("key", ["weight_+0", "weight_-0", "weight_ 0", "weight_0x",
-                                     "weight_", "weight_٠", "weight_0_0"])
-    def test_index_must_be_plain_digits(self, tmp_path, key):
-        (tmp_path / "m.txt").write_text(f"{key}=0.5\noffset=1\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="unknown field"):
-            cal.load_fusion_model(tmp_path / "m.txt")
-
-    @pytest.mark.parametrize("text", [
-        "weight_0=0.5\nweight_0=0.5\noffset=1\n",
-        "weight_0=0.5\nweight_00=0.5\noffset=1\n",
-        "weight_0=0.5\noffset=1\n offset = 2\n",
-    ])
-    def test_repeated_field_rejected(self, tmp_path, text):
-        (tmp_path / "m.txt").write_text(text)
-        with pytest.raises(ValueError, match="duplicate field"):
-            cal.load_fusion_model(tmp_path / "m.txt")
-
-    @pytest.mark.parametrize("text", [
-        "weight_0=nan\noffset=1\n",
-        "weight_0=0.5\noffset=1_0\n",
-        "weight_0=inf\noffset=1\n",
-        "weight_0=0.5\noffset=-inf\n",
-        "weight_0=1e999\noffset=1\n",
-    ])
-    def test_non_finite_or_underscored_number_rejected(self, tmp_path, text):
-        (tmp_path / "m.txt").write_text(text)
-        with pytest.raises(ValueError, match="bad number"):
-            cal.load_fusion_model(tmp_path / "m.txt")
-
-    @pytest.mark.parametrize("value", ["abc", ""])
-    def test_unparsable_number_names_its_line(self, tmp_path, value):
-        (tmp_path / "m.txt").write_text(f"offset=1\nweight_0={value}\n")
-        with pytest.raises(ValueError, match=re.escape(f"line 2: bad number {value!r}")):
-            cal.load_fusion_model(tmp_path / "m.txt")

@@ -122,11 +122,9 @@ class TestFuseCommand:
         key = TrialList([f"e{j}" for j in range(n)], [f"t{j}" for j in range(n)], labels)
         save_trials(tmp_path / "key.txt", key)
         out = tmp_path / "fused.txt"
-        model = tmp_path / "fusion.model"
         assert cli.main(["fuse", "--scores", *sets, "--key", str(tmp_path / "key.txt"),
-                         "--out", str(out), "--model-out", str(model)]) == 0
+                         "--out", str(out)]) == 0
         assert len(load_scores(out)) == n
-        assert "weight_1=" in model.read_text()
 
 
 class TestPipelineChain:
@@ -326,3 +324,112 @@ class TestEmbedCommand:
             frames = tensorio.read_feature_matrix(path)[speech]
             expected = nnet.forward(frames.astype(np.float32), net).astype(np.float32)
             assert np.array_equal(rows[path.stem], expected)
+
+    @pytest.mark.parametrize("arch", ["resnet34", "tdnn-standard"])
+    def test_weight_file_with_seven_classes_matches_the_seeded_init(self, small_corpus,
+                                                                    tmp_path, arch):
+        from svkit import nnet
+
+        _, feats, vad = small_corpus
+        # the classifier is drawn last, so its size leaves the other tensors unchanged
+        weights = tmp_path / f"{arch}.svw"
+        nnet.save_weights(nnet.init_weights(nnet.make_spec(arch, 40, 7), 1), weights)
+        embed = ["embed", "--feats-dir", str(feats), "--vad-dir", str(vad), "--arch", arch]
+        assert cli.main(embed + ["--seed", "1", "--out", str(tmp_path / "seeded.svw")]) == 0
+        assert cli.main(embed + ["--weights", str(weights),
+                                 "--out", str(tmp_path / "loaded.svw")]) == 0
+        assert (tmp_path / "loaded.svw").read_bytes() == (tmp_path / "seeded.svw").read_bytes()
+
+    @pytest.mark.parametrize("arch, classifier", [("resnet34", "dense2.weight"),
+                                                  ("tdnn-standard", "softmax.weight")])
+    def test_weight_file_without_classifier_is_data_error(self, small_corpus, tmp_path, capsys,
+                                                          arch, classifier):
+        from svkit import nnet
+
+        _, feats, _ = small_corpus
+        weights = nnet.init_weights(nnet.make_spec(arch, 40, 2), 1)
+        del weights[classifier]
+        nnet.save_weights(weights, tmp_path / "partial.svw")
+        out = tmp_path / "partial_emb.svw"
+        assert cli.main(["embed", "--feats-dir", str(feats), "--arch", arch,
+                         "--weights", str(tmp_path / "partial.svw"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: weights mismatch: missing=['{classifier}'] extra=[]\n"
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    """A two-utterance corpus with its default features and VAD masks."""
+    root = tmp_path_factory.mktemp("corpus")
+    corpus, feats, vad = root / "corpus", root / "feats", root / "vad"
+    assert cli.main(["synth", "--out-dir", str(corpus), "--num-speakers", "2",
+                     "--utts-per-speaker", "1", "--duration", "0.4", "--seed", "5"]) == 0
+    assert cli.main(["feats", "--wav-dir", str(corpus), "--out-dir", str(feats)]) == 0
+    assert cli.main(["vad", "--wav-dir", str(corpus), "--out-dir", str(vad)]) == 0
+    return corpus, feats, vad
+
+
+class TestFeatsCommand:
+    @pytest.mark.parametrize("config, apply_stmn", [(None, True), ("apply_stmn = false\n", False)],
+                             ids=["default", "apply_stmn_false"])
+    def test_stmn_follows_the_config(self, small_corpus, tmp_path, config, apply_stmn):
+        from svkit import frontend, tensorio
+
+        corpus, _, _ = small_corpus
+        argv = ["feats", "--wav-dir", str(corpus), "--out-dir", str(tmp_path / "feats")]
+        if config is not None:
+            (tmp_path / "svkit.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "svkit.cfg")]
+        assert cli.main(argv) == 0
+        wavs = sorted(corpus.glob("*.wav"))
+        assert sorted(p.stem for p in (tmp_path / "feats").glob("*.feat")) == [
+            p.stem for p in wavs]
+        for path in wavs:
+            expected = frontend.fbank(frontend.read_wav(path))
+            if apply_stmn:
+                expected = frontend.stmn(expected)
+            got = tensorio.read_feature_matrix(tmp_path / "feats" / f"{path.stem}.feat")
+            assert np.array_equal(got, expected.data.astype(np.float32))
+
+
+class TestFlags:
+    def test_fuse_key_and_weights_together_is_usage_error(self, tmp_path, capsys):
+        s, k = separated_scores(tmp_path)
+        assert cli.main(["fuse", "--scores", str(s), "--key", str(k), "--weights", "1",
+                         "--out", str(tmp_path / "fused.txt")]) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "fused.txt").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["feats", "--wav-dir", "w", "--out-dir", "o"], ["--no-stmn"]),
+        (["snorm", "--backend-file", "b", "--embeddings", "e", "--trials", "t", "--out", "o"],
+         ["--snorm-x", "5"]),
+        (["embed", "--feats-dir", "f", "--out", "o"], ["--num-classes", "7"]),
+        (["calibrate", "--scores", "s", "--key", "k", "--out", "o"], ["--model-out", "m"]),
+        (["fuse", "--scores", "s", "--key", "k", "--out", "o"], ["--model-out", "m"]),
+    ], ids=["feats", "snorm", "embed", "calibrate", "fuse"])
+    def test_removed_flag_is_unrecognized(self, argv, flag, capsys):
+        assert cli.main(argv + flag) == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    def test_every_option_is_exercised_by_a_test_or_workload(self):
+        """Each option of each subcommand is passed by some test or perfbench workload."""
+        import argparse
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        sources = [*sorted((root / "tests").glob("*.py")),
+                   root / "perfbench" / "svbench" / "workloads.py"]
+        text = "\n".join(p.read_text(encoding="utf-8") for p in sources)
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        unused = sorted(
+            f"{name} {opt}"
+            for name, sub in subparsers.choices.items()
+            for action in sub._actions
+            for opt in action.option_strings
+            if opt not in ("-h", "--help") and f'"{opt}"' not in text and f"'{opt}'" not in text
+        )
+        assert unused == []

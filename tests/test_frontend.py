@@ -63,7 +63,7 @@ class TestFbank:
     def test_zero_waveform_floor_rows(self):
         out = fe.fbank(fe.Waveform(np.zeros(16000)), CFG)
         assert out.data.shape == (98, 40)
-        assert np.all(out.data == np.log(CFG.energy_floor))
+        assert np.all(out.data == np.log(fe.ENERGY_FLOOR))
 
     def test_reference_band_limits_accepted(self):
         cfg = fe.FeatureConfig(low_freq=20.0, high_freq=7600.0, num_filters=40)
@@ -166,7 +166,7 @@ def lpc_to_cepstrum_ref(a, err, num_ceps):
 def plp_ref(wave, cfg):
     """PLP with linear prediction and cepstra computed one frame at a time."""
     energies, centers_hz = fe._mel_energies(wave, cfg)
-    compressed = (np.maximum(energies, cfg.energy_floor) * fe._equal_loudness(centers_hz)) ** (1 / 3)
+    compressed = (np.maximum(energies, fe.ENERGY_FLOOR) * fe._equal_loudness(centers_hz)) ** (1 / 3)
     spectrum = np.concatenate([compressed, compressed[:, -2:0:-1]], axis=1)
     autocorr = np.fft.ifft(spectrum, axis=1).real
     order = cfg.num_plp_coeffs
@@ -253,7 +253,7 @@ def vad_oracle(wave, cfg):
     log_e = []
     for t in range(n):
         seg = wave.samples[t * shift : t * shift + frame]
-        log_e.append(np.log(max(float(np.sum(seg * seg)), cfg.energy_floor)))
+        log_e.append(np.log(max(float(np.sum(seg * seg)), fe.ENERGY_FLOOR)))
     log_e = np.array(log_e)
     thr = log_e.mean() + cfg.vad_energy_mean_scale * log_e.std()
     raw = log_e >= thr

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svkit import backend, calibration, tensorio, trials
+from svkit import backend, tensorio, trials
 from svkit.config import PipelineConfig, load_config
 
 
@@ -171,30 +171,6 @@ def test_score_file_parses_or_raises_value_error(fuzz_path, data):
     out = parse_or_value_error(trials.load_scores, fuzz_path, data)
     if out is not None:
         assert np.all(np.isfinite(out.scores))
-
-
-fusion_keys = st.one_of(
-    st.sampled_from(["offset", "weight_0", "weight_1", "weight_2", "weight_-1",
-                     "weight_", "weight_x", "weight_99999999999999999999", "bias"]),
-    words,
-)
-
-
-@st.composite
-def fusion_model_text(draw):
-    """Weights 0..n-1 and an offset in random order, plus a few random fields."""
-    n = draw(st.integers(0, 3))
-    lines = [f"weight_{i}={draw(numbers)}" for i in range(n)] + [f"offset={draw(numbers)}"]
-    lines += draw(st.lists(st.builds(lambda k, v: f"{k}={v}", fusion_keys, numbers), max_size=2))
-    return "\n".join(draw(st.permutations(lines))).encode("utf-8")
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.one_of(junk, text_lines(st.one_of(fusion_keys, numbers)), fusion_model_text()))
-def test_fusion_model_parses_or_raises_value_error(fuzz_path, data):
-    out = parse_or_value_error(calibration.load_fusion_model, fuzz_path, data)
-    if out is not None:
-        assert isinstance(out.offset, float) and all(isinstance(w, float) for w in out.weights)
 
 
 config_fields = st.sampled_from([f.name for f in fields(PipelineConfig)])
