@@ -19,6 +19,8 @@ MAX_ITERS = 1000
 CE_TOL = 1e-10
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
+# weights of the reference four-system fusion, used by weighted fusion by default
+FUSION_WEIGHTS = (0.4, 0.4, 0.1, 0.1)
 
 
 @dataclass(frozen=True)

@@ -27,18 +27,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_pipeline_config(args) -> PipelineConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
-    for attr, key in (
-        ("seed", "seed"),
-        ("backend", "backend"),
-        ("dcf_ptarget", "dcf_p_target"),
-        ("arch", "arch"),
-        ("feat", "feature_type"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    return cfg
+    return load_config(args.config) if args.config else PipelineConfig()
 
 
 def _read_labels(path) -> dict[str, str]:
@@ -61,9 +50,8 @@ def _load_embeddings(path) -> dict[str, np.ndarray]:
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_pipeline_config(args)
     spec = synthdata.SynthSpec(
-        seed=cfg.seed,
+        seed=args.seed,
         num_speakers=args.num_speakers,
         utts_per_speaker=args.utts_per_speaker,
         duration_s=args.duration,
@@ -77,7 +65,7 @@ def cmd_synth(args) -> int:
             frontend.write_wav(out_dir / f"{name}.wav", wave)
             f.write(f"{name} {spk}\n")
     if args.trials_out:
-        trials = synthdata.gen_trials(labels, args.num_target, args.num_nontarget, cfg.seed)
+        trials = synthdata.gen_trials(labels, args.num_target, args.num_nontarget, args.seed)
         id_map = dict(zip(synthdata.utt_ids(len(labels)), names))
         trials = TrialList(
             [id_map[e] for e in trials.enroll],
@@ -97,14 +85,14 @@ def cmd_feats(args) -> int:
     wavs = sorted(Path(args.wav_dir).glob("*.wav"))
     if not wavs:
         raise ValueError(f"no WAV files in {args.wav_dir}")
-    extractor = frontend.fbank if cfg.feature_type == "fbank" else frontend.plp
+    extractor = frontend.fbank if args.feat == "fbank" else frontend.plp
     for path in wavs:
         wave = frontend.read_wav(path)
         feats = extractor(wave, feat_cfg)
         if cfg.apply_stmn:
             feats = frontend.stmn(feats, feat_cfg.stmn_window)
         tensorio.write_feature_matrix(out_dir / f"{path.stem}.feat", feats.data)
-    print(f"extracted {cfg.feature_type} features for {len(wavs)} files", file=sys.stderr)
+    print(f"extracted {args.feat} features for {len(wavs)} files", file=sys.stderr)
     return 0
 
 
@@ -132,11 +120,11 @@ def cmd_embed(args) -> int:
     dim = tensorio.read_feature_matrix(feat_paths[0]).shape[1]
     if args.weights:
         weights = nnet.load_weights(args.weights)
-        spec = nnet.make_spec(cfg.arch, dim, nnet.num_classes_of(cfg.arch, weights),
+        spec = nnet.make_spec(args.arch, dim, nnet.num_classes_of(args.arch, weights),
                               cfg.embedding_dim or None)
     else:
-        spec = nnet.make_spec(cfg.arch, dim, 2, cfg.embedding_dim or None)
-        weights = nnet.init_weights(spec, cfg.seed)
+        spec = nnet.make_spec(args.arch, dim, 2, cfg.embedding_dim or None)
+        weights = nnet.init_weights(spec, args.seed)
     net = nnet.prepare(spec, weights)
     out: dict[str, np.ndarray] = {}
     for path in feat_paths:
@@ -148,7 +136,7 @@ def cmd_embed(args) -> int:
             feats = frontend.apply_vad(feats, mask[:, 0] > 0.5)
         out[path.stem] = nnet.forward(feats.data.astype(np.float32), net).astype(np.float32)
     tensorio.write_tensors(args.out, out)
-    print(f"embedded {len(out)} utterances with {cfg.arch}", file=sys.stderr)
+    print(f"embedded {len(out)} utterances with {args.arch}", file=sys.stderr)
     return 0
 
 
@@ -164,17 +152,17 @@ def cmd_train_plda(args) -> int:
     labels = [labels_by_utt[u] for u in utts]
     rank = min(cfg.plda_rank_speaker, x.shape[1])
     bcfg = backend_mod.BackendConfig(
-        kind=cfg.backend,
+        kind=args.backend,
         rank_speaker=rank,
         rank_channel=min(cfg.plda_rank_channel, x.shape[1]),
         em_iters=cfg.em_iters,
         lda_epsilon=cfg.lda_epsilon,
-        seed=cfg.seed,
+        seed=args.seed,
     )
     trained = backend_mod.train_backend(x, labels, bcfg)
     cohort = scorenorm.build_cohort(x, labels, trained)
     backend_mod.save_backend(args.out, trained, cohort)
-    print(f"trained {cfg.backend} backend on {len(utts)} embeddings", file=sys.stderr)
+    print(f"trained {args.backend} backend on {len(utts)} embeddings", file=sys.stderr)
     return 0
 
 
@@ -228,7 +216,7 @@ def cmd_fuse(args) -> int:
         fused = result.scores
     else:
         weights = ([float(w) for w in args.weights.split(",")] if args.weights
-                   else list(cfg.fusion_weights))
+                   else list(calibration.FUSION_WEIGHTS))
         if len(weights) == 1 and len(scoresets) > 1:
             weights = weights * len(scoresets)
         fused = calibration.fuse_weighted(scoresets, weights)
@@ -252,17 +240,12 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--seed", type=int, help="seed override")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="svkit", description="speaker verification pipeline")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("synth", help="generate a toy waveform corpus")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--num-speakers", type=int, default=4)
     p.add_argument("--utts-per-speaker", type=int, default=5)
@@ -273,37 +256,38 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("feats", help="extract FBank or PLP features")
-    _add_common(p)
+    p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--wav-dir", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--feat", choices=("fbank", "plp"))
+    p.add_argument("--feat", choices=("fbank", "plp"), default="fbank")
     p.set_defaults(func=cmd_feats)
 
     p = sub.add_parser("vad", help="compute energy VAD masks")
-    _add_common(p)
+    p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--wav-dir", required=True)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_vad)
 
     p = sub.add_parser("embed", help="run an embedding extractor over features")
-    _add_common(p)
+    p.add_argument("--config", help="flat key = value config file")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--feats-dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--arch", choices=nnet.ARCH_KINDS)
+    p.add_argument("--arch", choices=nnet.ARCH_KINDS, default="tdnn-standard")
     p.add_argument("--vad-dir")
     p.add_argument("--weights", help="weight file (default: seeded random init)")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("train_plda", help="train the scoring backend and cohort")
-    _add_common(p)
+    p.add_argument("--config", help="flat key = value config file")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--backend", choices=("plda", "cosine"))
+    p.add_argument("--backend", choices=("plda", "cosine"), default="plda")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_plda)
 
     p = sub.add_parser("score", help="score a trial list")
-    _add_common(p)
     p.add_argument("--backend-file", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--trials", required=True)
@@ -311,7 +295,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("snorm", help="adaptive symmetric score normalization")
-    _add_common(p)
+    p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--backend-file", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--trials", required=True)
@@ -322,14 +306,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_snorm)
 
     p = sub.add_parser("calibrate", help="logistic-regression calibration")
-    _add_common(p)
+    p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--scores", required=True)
     p.add_argument("--key", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("fuse", help="fuse score sets (weighted or trained)")
-    _add_common(p)
+    p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--scores", nargs="+", required=True)
     p.add_argument("--out", required=True)
     mode = p.add_mutually_exclusive_group()
@@ -338,10 +322,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("eval", help="report EER and minimum DCF")
-    _add_common(p)
+    p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--scores", required=True)
     p.add_argument("--key", required=True)
-    p.add_argument("--dcf-ptarget", type=float, dest="dcf_ptarget")
     p.add_argument("--out", help="also write the metrics line to a file")
     p.set_defaults(func=cmd_eval)
 

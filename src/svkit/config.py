@@ -1,9 +1,8 @@
 """Flat key = value pipeline configuration.
 
 Defaults match the reference operating point: S-norm top-X 300, PLDA
-subspace ranks 312, fusion weights 0.4/0.4/0.1/0.1. The AAM operating
-point (scale 30, margin 0.2) lives in ``aam.AamConfig``, not here.
-Unknown keys are rejected.
+subspace ranks 312. The AAM operating point (scale 30, margin 0.2) lives
+in ``aam.AamConfig``, not here. Unknown keys are rejected.
 """
 
 from dataclasses import dataclass, fields
@@ -11,7 +10,7 @@ from dataclasses import dataclass, fields
 from .frontend import FeatureConfig
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     frame_length_ms: float = 25.0
     frame_shift_ms: float = 10.0
@@ -23,21 +22,16 @@ class PipelineConfig:
     apply_stmn: bool = True
     vad_energy_mean_scale: float = -0.5
     vad_context: int = 5
-    feature_type: str = "fbank"
-    arch: str = "tdnn-standard"
     embedding_dim: int = 0  # 0 means the architecture default
-    backend: str = "plda"
     snorm_top_x: int = 300
     plda_rank_speaker: int = 312
     plda_rank_channel: int = 312
     em_iters: int = 10
     lda_epsilon: float = 1e-6
-    fusion_weights: tuple[float, ...] = (0.4, 0.4, 0.1, 0.1)
     calibration_prior: float = 0.5
     dcf_p_target: float = 0.05
     dcf_c_miss: float = 1.0
     dcf_c_fa: float = 1.0
-    seed: int = 0
 
     def feature_config(self) -> FeatureConfig:
         return FeatureConfig(
@@ -65,12 +59,7 @@ def _convert(name: str, kind, raw: str, lineno: int):
             raise ValueError
         if kind is int:
             return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return raw
-        # tuple of floats, comma separated
-        return tuple(float(part) for part in raw.split(","))
+        return float(raw)
     except ValueError:
         raise ValueError(f"line {lineno}: bad value for {name}: {raw!r}") from None
 

@@ -49,6 +49,8 @@ class SynthSpec:
             raise ValueError("need at least two speakers")
         if self.utts_per_speaker < 1:
             raise ValueError("need at least one utterance per speaker")
+        if not np.isfinite(self.duration_s) or round(self.duration_s * self.sample_rate) < 1:
+            raise ValueError(f"duration must be at least one sample: {self.duration_s!r} s")
 
 
 def true_model(spec: SynthSpec) -> PldaModel:

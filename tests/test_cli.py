@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from svkit import cli
+from svkit import calibration, cli
 from svkit.config import PipelineConfig, parse_config
 from svkit.trials import ScoreSet, TrialList, load_scores, save_scores, save_trials
 
@@ -14,7 +14,7 @@ class TestConfig:
         assert cfg.snorm_top_x == 300
         assert cfg.plda_rank_speaker == 312
         assert cfg.plda_rank_channel == 312
-        assert cfg.fusion_weights == (0.4, 0.4, 0.1, 0.1)
+        assert calibration.FUSION_WEIGHTS == (0.4, 0.4, 0.1, 0.1)
         assert cfg.frame_length_ms == 25.0
         assert cfg.low_freq == 20.0 and cfg.high_freq == 7600.0
         assert cfg.num_filters == 40 and cfg.num_plp_coeffs == 30
@@ -22,27 +22,29 @@ class TestConfig:
 
     def test_parse_and_types(self):
         cfg = parse_config(
-            "backend = cosine\n"
+            "calibration_prior = 0.25\n"
             "snorm_top_x = 50  # clamped later\n"
-            "fusion_weights = 0.5,0.5\n"
+            "dcf_p_target = 0.01\n"
             "apply_stmn = false\n"
-            "seed = 3\n"
+            "em_iters = 3\n"
         )
-        assert cfg.backend == "cosine"
+        assert cfg.calibration_prior == 0.25
         assert cfg.snorm_top_x == 50
-        assert cfg.fusion_weights == (0.5, 0.5)
+        assert cfg.dcf_p_target == 0.01
         assert cfg.apply_stmn is False
-        assert cfg.seed == 3
+        assert cfg.em_iters == 3
 
     def test_unknown_key_rejected(self):
-        # the last four were accepted once but never read
-        for key in ("snr", "snorm", "aam_scale", "aam_margin", "backend_max_train_utts"):
+        # all but the first were keys once: four were never read, and the last
+        # five are set by the flags --seed, --backend, --arch, --feat and --weights
+        for key in ("snr", "snorm", "aam_scale", "aam_margin", "backend_max_train_utts",
+                    "seed", "backend", "arch", "feature_type", "fusion_weights"):
             with pytest.raises(ValueError, match="unknown config key"):
                 parse_config(f"{key} = 15\n")
 
     def test_bad_value_reports_line(self):
         with pytest.raises(ValueError, match="line 2"):
-            parse_config("seed = 1\nseed = two\n")
+            parse_config("em_iters = 1\nem_iters = two\n")
 
 
 def separated_scores(tmp_path):
@@ -61,12 +63,6 @@ class TestEvalCommand:
         assert cli.main(["eval", "--scores", str(s), "--key", str(k)]) == 0
         out = capsys.readouterr().out
         assert "EER=0.000%" in out
-
-    def test_dcf_ptarget_flag(self, tmp_path, capsys):
-        s, k = separated_scores(tmp_path)
-        assert cli.main(["eval", "--scores", str(s), "--key", str(k),
-                         "--dcf-ptarget", "0.01"]) == 0
-        assert "minDCF(p=0.01)" in capsys.readouterr().out
 
     def test_missing_file_is_data_error(self, tmp_path):
         s, k = separated_scores(tmp_path)
@@ -205,21 +201,19 @@ class TestPipelineChain:
                          "--out", str(root / "plda.scores")]) == 0
         assert len(load_scores(root / "plda.scores")) == 16
 
-    def test_config_file_respected_and_flag_wins(self, tmp_path, capsys):
+    def test_config_file_respected(self, tmp_path, capsys):
         s, k = separated_scores(tmp_path)
         cfg = tmp_path / "svkit.cfg"
         cfg.write_text("dcf_p_target = 0.2\n")
         assert cli.main(["eval", "--scores", str(s), "--key", str(k),
                          "--config", str(cfg)]) == 0
         assert "minDCF(p=0.2)" in capsys.readouterr().out
-        assert cli.main(["eval", "--scores", str(s), "--key", str(k),
-                         "--config", str(cfg), "--dcf-ptarget", "0.07"]) == 0
-        assert "minDCF(p=0.07)" in capsys.readouterr().out
 
     def test_unknown_config_key_is_data_error(self, tmp_path, capsys):
         s, k = separated_scores(tmp_path)
         cfg = tmp_path / "svkit.cfg"
-        for key in ("bogus", "snorm", "aam_scale", "aam_margin", "backend_max_train_utts"):
+        for key in ("bogus", "snorm", "aam_scale", "aam_margin", "backend_max_train_utts",
+                    "seed", "backend", "arch", "feature_type", "fusion_weights"):
             cfg.write_text(f"{key} = 1\n")
             assert cli.main(["eval", "--scores", str(s), "--key", str(k),
                              "--config", str(cfg)]) == 2
@@ -240,6 +234,33 @@ class TestPipelineChain:
                          "--out", str(tmp_path / "backend.svw")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: PLDA subspace ranks") and err.count("\n") == 1
+
+    def test_train_plda_seed_sets_only_the_em_init(self, tmp_path):
+        from svkit import tensorio
+
+        rng = np.random.default_rng(0)
+        tensorio.write_tensors(tmp_path / "emb.svw",
+                               {f"u{i:02d}": rng.standard_normal(8) for i in range(24)})
+        (tmp_path / "labels.txt").write_text("".join(f"u{i:02d} s{i % 4}\n" for i in range(24)))
+        train = ["train_plda", "--embeddings", str(tmp_path / "emb.svw"),
+                 "--labels", str(tmp_path / "labels.txt"), "--out"]
+        for name, seed in (("default", []), ("seed0", ["--seed", "0"]), ("seed1", ["--seed", "1"])):
+            assert cli.main(train + [str(tmp_path / f"{name}.svw")] + seed) == 0
+        assert (tmp_path / "default.svw").read_bytes() == (tmp_path / "seed0.svw").read_bytes()
+        a = tensorio.read_tensors(tmp_path / "seed0.svw")
+        b = tensorio.read_tensors(tmp_path / "seed1.svw")
+        for name in ("center.mean", "lda.mat", "cohort.means"):
+            assert np.array_equal(a[name], b[name]), name
+        for name in ("plda.V", "plda.U", "plda.psi"):
+            assert not np.array_equal(a[name], b[name]), name
+
+    @pytest.mark.parametrize("duration", ["0", "0.00003", "-1", "nan", "inf"])
+    def test_synth_duration_below_one_sample_is_data_error(self, tmp_path, capsys, duration):
+        assert cli.main(["synth", "--out-dir", str(tmp_path / "corpus"),
+                         "--duration", duration]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: duration must be at least one sample") and err.count("\n") == 1
+        assert not list(tmp_path.rglob("*.wav"))
 
     def test_duplicate_label_is_data_error(self, tmp_path, capsys):
         from svkit import tensorio
@@ -393,6 +414,17 @@ class TestFeatsCommand:
             assert np.array_equal(got, expected.data.astype(np.float32))
 
 
+SYNTH = ["synth", "--out-dir", "o"]
+FEATS = ["feats", "--wav-dir", "w", "--out-dir", "o"]
+VAD = ["vad", "--wav-dir", "w", "--out-dir", "o"]
+EMBED = ["embed", "--feats-dir", "f", "--out", "o"]
+SCORE = ["score", "--backend-file", "b", "--embeddings", "e", "--trials", "t", "--out", "o"]
+SNORM = ["snorm", "--backend-file", "b", "--embeddings", "e", "--trials", "t", "--out", "o"]
+CALIBRATE = ["calibrate", "--scores", "s", "--key", "k", "--out", "o"]
+FUSE = ["fuse", "--scores", "s", "--key", "k", "--out", "o"]
+EVAL = ["eval", "--scores", "s", "--key", "k"]
+
+
 class TestFlags:
     def test_fuse_key_and_weights_together_is_usage_error(self, tmp_path, capsys):
         s, k = separated_scores(tmp_path)
@@ -401,17 +433,25 @@ class TestFlags:
         assert "not allowed with argument" in capsys.readouterr().err
         assert not (tmp_path / "fused.txt").exists()
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["feats", "--wav-dir", "w", "--out-dir", "o"], ["--no-stmn"]),
-        (["snorm", "--backend-file", "b", "--embeddings", "e", "--trials", "t", "--out", "o"],
-         ["--snorm-x", "5"]),
-        (["embed", "--feats-dir", "f", "--out", "o"], ["--num-classes", "7"]),
-        (["calibrate", "--scores", "s", "--key", "k", "--out", "o"], ["--model-out", "m"]),
-        (["fuse", "--scores", "s", "--key", "k", "--out", "o"], ["--model-out", "m"]),
-    ], ids=["feats", "snorm", "embed", "calibrate", "fuse"])
-    def test_removed_flag_is_unrecognized(self, argv, flag, capsys):
+    @pytest.mark.parametrize("argv, flag, message", [
+        pytest.param(FEATS, ["--no-stmn"], None, id="feats"),
+        pytest.param(SNORM, ["--snorm-x", "5"], None, id="snorm"),
+        pytest.param(EMBED, ["--num-classes", "7"], None, id="embed"),
+        pytest.param(CALIBRATE, ["--model-out", "m"], None, id="calibrate"),
+        pytest.param(FUSE, ["--model-out", "m"], None, id="fuse"),
+        *(pytest.param(argv, ["--seed", "1"], None, id=f"{argv[0]}-seed")
+          for argv in (FEATS, VAD, SCORE, SNORM, CALIBRATE, FUSE, EVAL)),
+        *(pytest.param(argv, ["--config", "c"], None, id=f"{argv[0]}-config")
+          for argv in (SYNTH, SCORE)),
+        pytest.param(EVAL, ["--dcf-ptarget", "0.01"], None, id="eval-dcf-ptarget"),
+        # feature_type = mfcc was accepted from a config file and ran PLP
+        pytest.param(FEATS, ["--feat", "mfcc"], "argument --feat: invalid choice: 'mfcc'",
+                     id="feats-mfcc"),
+    ])
+    def test_removed_flag_is_unrecognized(self, argv, flag, message, capsys):
         assert cli.main(argv + flag) == 1
-        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        expected = message or f"unrecognized arguments: {' '.join(flag)}"
+        assert expected in capsys.readouterr().err
 
     def test_every_option_is_exercised_by_a_test_or_workload(self):
         """Each option of each subcommand is passed by some test or perfbench workload."""
@@ -433,3 +473,17 @@ class TestFlags:
             if opt not in ("-h", "--help") and f'"{opt}"' not in text and f"'{opt}'" not in text
         )
         assert unused == []
+
+    def test_every_config_key_is_read(self):
+        """Each PipelineConfig field is read by a subcommand or by PipelineConfig itself."""
+        import re
+        from dataclasses import fields
+        from pathlib import Path
+
+        src = Path(cli.__file__).resolve().parent
+        cli_text = (src / "cli.py").read_text(encoding="utf-8")
+        config_text = (src / "config.py").read_text(encoding="utf-8")
+        unread = [f.name for f in fields(PipelineConfig)
+                  if not re.search(rf"\bcfg\.{f.name}\b", cli_text)
+                  and not re.search(rf"\bself\.{f.name}\b", config_text)]
+        assert unread == []
