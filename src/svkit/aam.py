@@ -21,8 +21,8 @@ class AamConfig:
     margin: float = 0.2
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError("scale must be positive and finite")
         if not (0.0 <= self.margin < math.pi / 2):
             raise ValueError("margin must be in [0, pi/2)")
 
@@ -48,6 +48,8 @@ class AamHead:
 
 
 def init_head(num_classes: int, dim: int, seed: int) -> AamHead:
+    if num_classes < 1 or dim < 1:
+        raise ValueError("head needs at least one class and one dimension")
     rng = np.random.default_rng(seed)
     bound = np.sqrt(6.0 / dim)
     return AamHead(rng.uniform(-bound, bound, size=(num_classes, dim)))
@@ -58,6 +60,13 @@ def _normalize_rows(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     if np.any(norms == 0.0):
         raise ValueError(f"degenerate norm: zero {what}")
     return x / norms[:, None], norms
+
+
+def _cosines(e_hat: np.ndarray, head: AamHead, out: np.ndarray | None = None):
+    """Cosines of unit embeddings against the head rows, written to ``out``
+    when it is given, plus the unit rows and their norms."""
+    w_hat, w_norm = _normalize_rows(head.weight, "weight row")
+    return np.matmul(e_hat, w_hat.T, out=out), w_hat, w_norm
 
 
 def _margin_terms(cos_true: np.ndarray, cfg: AamConfig):
@@ -73,15 +82,43 @@ def _margin_terms(cos_true: np.ndarray, cfg: AamConfig):
     return phi, dphi
 
 
-def _batch_logits(embs: np.ndarray, labels: np.ndarray, head: AamHead, cfg: AamConfig):
-    e_hat, e_norm = _normalize_rows(embs, "embedding")
-    w_hat, w_norm = _normalize_rows(head.weight, "weight row")
-    cos = e_hat @ w_hat.T
+def _margin_logits(cos: np.ndarray, labels: np.ndarray, cfg: AamConfig) -> np.ndarray:
+    """Turn ``cos`` in place into scaled logits with the margin on each
+    true class; returns d(phi)/d(cos) of the true classes."""
     idx = np.arange(len(labels))
     phi, dphi = _margin_terms(cos[idx, labels], cfg)
-    logits = cfg.scale * cos
-    logits[idx, labels] = cfg.scale * phi
-    return logits, cos, dphi, e_hat, e_norm, w_hat, w_norm
+    cos *= cfg.scale
+    cos[idx, labels] = cfg.scale * phi
+    return dphi
+
+
+def _softmax_grad(cos: np.ndarray, labels: np.ndarray, cfg: AamConfig):
+    """Mean AAM loss and d(loss)/d(cos) from a batch of cosines.
+
+    Works in place: the gradient returned is ``cos`` itself, so one
+    (batch, classes) buffer holds logits, exponentials, probabilities and
+    gradient in turn.
+    """
+    n = len(labels)
+    idx = np.arange(n)
+    dphi = _margin_logits(cos, labels, cfg)
+    cos -= cos.max(axis=1, keepdims=True)
+    shifted_true = cos[idx, labels]
+    np.exp(cos, out=cos)
+    total = cos.sum(axis=1)
+    loss = float(np.mean(np.log(total)) - np.mean(shifted_true))
+    cos /= total[:, None]
+    cos[idx, labels] -= 1.0
+    cos *= cfg.scale / n
+    cos[idx, labels] *= dphi
+    return loss, cos
+
+
+def _head_grad(g, e_hat, w_hat, w_norm) -> np.ndarray:
+    """Gradient wrt the raw head weights from d(loss)/d(cos)."""
+    gw_hat = g.T @ e_hat  # (classes, dim), gradient wrt normalized rows
+    row_dot = np.sum(gw_hat * w_hat, axis=1, keepdims=True)
+    return (gw_hat - row_dot * w_hat) / w_norm[:, None]
 
 
 def aam_logits(emb: np.ndarray, head: AamHead, label: int, cfg: AamConfig = AamConfig()) -> np.ndarray:
@@ -89,53 +126,50 @@ def aam_logits(emb: np.ndarray, head: AamHead, label: int, cfg: AamConfig = AamC
     emb = np.asarray(emb, dtype=np.float64)
     if not 0 <= label < head.num_classes:
         raise ValueError("label out of range")
-    logits, *_ = _batch_logits(emb[None, :], np.array([label]), head, cfg)
-    return logits[0]
+    e_hat, _ = _normalize_rows(emb[None, :], "embedding")
+    cos, _, _ = _cosines(e_hat, head)
+    _margin_logits(cos, np.array([label]), cfg)
+    return cos[0]
 
 
-def _batch_arrays(embs, labels, head):
+def _batch_arrays(embs, labels):
+    """Float64 embeddings and int64 labels, checked for shape, finiteness
+    and label type; the caller checks labels against its number of classes."""
     embs = np.asarray(embs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if embs.ndim != 2 or embs.shape[0] == 0:
         raise ValueError("empty batch")
     if labels.shape != (embs.shape[0],):
         raise ValueError("labels must align with the batch")
-    if labels.min() < 0 or labels.max() >= head.num_classes:
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError("labels must be integers")
+    if labels.min() < 0:
         raise ValueError("label out of range")
-    return embs, labels
+    if not np.all(np.isfinite(embs)):
+        raise ValueError("non-finite embedding")
+    return embs, labels.astype(np.int64, copy=False)
+
+
+def _batch_softmax(embs, labels, head: AamHead, cfg: AamConfig):
+    """Loss, d(loss)/d(cos) and the normalized factors of one checked batch."""
+    embs, labels = _batch_arrays(embs, labels)
+    if labels.max() >= head.num_classes:
+        raise ValueError("label out of range")
+    e_hat, e_norm = _normalize_rows(embs, "embedding")
+    cos, w_hat, w_norm = _cosines(e_hat, head)
+    loss, g = _softmax_grad(cos, labels, cfg)
+    return loss, g, e_hat, e_norm, w_hat, w_norm
 
 
 def aam_loss(embs, labels, head: AamHead, cfg: AamConfig = AamConfig()) -> float:
     """Mean softmax cross-entropy over margin-modified logits."""
-    embs, labels = _batch_arrays(embs, labels, head)
-    logits, *_ = _batch_logits(embs, labels, head, cfg)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.sum(np.exp(shifted), axis=1))
-    idx = np.arange(len(labels))
-    return float(np.mean(log_z - shifted[idx, labels]))
+    return _batch_softmax(embs, labels, head, cfg)[0]
 
 
 def aam_grad(embs, labels, head: AamHead, cfg: AamConfig = AamConfig()):
     """Loss plus exact gradients wrt head weights and embeddings."""
-    embs, labels = _batch_arrays(embs, labels, head)
-    logits, cos, dphi, e_hat, e_norm, w_hat, w_norm = _batch_logits(embs, labels, head, cfg)
-    n = len(labels)
-    idx = np.arange(n)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expv = np.exp(shifted)
-    probs = expv / expv.sum(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(expv.sum(axis=1))) - np.mean(shifted[idx, labels]))
-
-    # d(loss)/d(cosine), margin chain applied on the true-class column.
-    g = probs.copy()
-    g[idx, labels] -= 1.0
-    g *= cfg.scale / n
-    g[idx, labels] *= dphi
-
-    gw_hat = g.T @ e_hat  # (classes, dim), gradient wrt normalized rows
-    row_dot = np.sum(gw_hat * w_hat, axis=1, keepdims=True)
-    grad_w = (gw_hat - row_dot * w_hat) / w_norm[:, None]
-
+    loss, g, e_hat, e_norm, w_hat, w_norm = _batch_softmax(embs, labels, head, cfg)
+    grad_w = _head_grad(g, e_hat, w_hat, w_norm)
     ge_hat = g @ w_hat  # (batch, dim), gradient wrt normalized embeddings
     e_dot = np.sum(ge_hat * e_hat, axis=1, keepdims=True)
     grad_e = (ge_hat - e_dot * e_hat) / e_norm[:, None]
@@ -148,18 +182,20 @@ def finetune_head(embs, labels, cfg: AamConfig = AamConfig(), epochs: int = 50,
 
     Returns the trained head and the per-epoch loss trace (loss measured
     before each update, so epochs=0 returns the seeded initialization).
+    The embeddings are checked and unit-normalized once; each epoch
+    computes the head gradient only, in one (batch, classes) buffer.
     """
-    embs = np.asarray(embs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    classes = np.unique(labels)
-    if len(classes) < 2:
+    embs, labels = _batch_arrays(embs, labels)
+    if len(np.unique(labels)) < 2:
         raise ValueError("need at least two classes")
     head = init_head(int(labels.max()) + 1, embs.shape[1], seed)
+    e_hat, _ = _normalize_rows(embs, "embedding")
+    cos = np.empty((len(labels), head.num_classes))
     trace = np.zeros(epochs)
     for epoch in range(epochs):
-        loss, grad_w, _ = aam_grad(embs, labels, head, cfg)
-        trace[epoch] = loss
-        head.weight = head.weight - learning_rate * grad_w
+        _, w_hat, w_norm = _cosines(e_hat, head, out=cos)
+        trace[epoch], g = _softmax_grad(cos, labels, cfg)
+        head.weight = head.weight - learning_rate * _head_grad(g, e_hat, w_hat, w_norm)
     return head, trace
 
 
@@ -167,8 +203,7 @@ def head_predict(embs, head: AamHead) -> np.ndarray:
     """Class decisions by plain cosine argmax (no margin at test time)."""
     embs = np.asarray(embs, dtype=np.float64)
     e_hat, _ = _normalize_rows(embs, "embedding")
-    w_hat, _ = _normalize_rows(head.weight, "weight row")
-    return np.argmax(e_hat @ w_hat.T, axis=1)
+    return np.argmax(_cosines(e_hat, head)[0], axis=1)
 
 
 def save_head(head: AamHead, path) -> None:
@@ -179,4 +214,6 @@ def load_head(path) -> AamHead:
     tensors = tensorio.read_tensors(path)
     if "aam.weight" not in tensors:
         raise ValueError("bad weight file: missing aam.weight")
+    if not np.all(np.isfinite(tensors["aam.weight"])):
+        raise ValueError("bad weight file: non-finite values in aam.weight")
     return AamHead(tensors["aam.weight"])

@@ -1,11 +1,12 @@
 """Tests for the additive angular margin loss, gradients, and head training."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from svkit import aam
+from svkit import aam, tensorio
 
 CFG = aam.AamConfig(30.0, 0.2)
 
@@ -50,6 +51,18 @@ def true_class_cosines(embs, labels, head):
     e = embs / np.linalg.norm(embs, axis=1, keepdims=True)
     w = head.weight / np.linalg.norm(head.weight, axis=1, keepdims=True)
     return (e @ w.T)[np.arange(len(labels)), labels]
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0])
+def test_config_rejects_bad_scale(scale):
+    with pytest.raises(ValueError, match="scale must be positive and finite"):
+        aam.AamConfig(scale=scale)
+
+
+@pytest.mark.parametrize("num_classes, dim", [(3, 0), (0, 4)])
+def test_init_head_rejects_empty_shape(num_classes, dim):
+    with pytest.raises(ValueError, match="at least one class and one dimension"):
+        aam.init_head(num_classes, dim, 0)
 
 
 class TestAamLogits:
@@ -239,6 +252,58 @@ class TestFinetuneHead:
         with pytest.raises(ValueError, match="two classes"):
             aam.finetune_head(np.ones((3, 2)), np.zeros(3, dtype=int), CFG)
 
+    @pytest.mark.parametrize("epochs", [0, 3])
+    @pytest.mark.parametrize("spoil, message", [
+        ("nan_row", "non-finite embedding"),
+        ("float_labels", "labels must be integers"),
+        ("zero_row", "degenerate norm: zero embedding"),
+    ])
+    def test_bad_input_rejected_before_training(self, spoil, message, epochs):
+        embs, labels = self.separable_set()
+        if spoil == "nan_row":
+            embs[4] = np.nan
+        elif spoil == "zero_row":
+            embs[4] = 0.0
+        else:
+            labels = labels + 0.7
+        with pytest.raises(ValueError, match=message):
+            aam.finetune_head(embs, labels, CFG, epochs=epochs)
+
+    def test_matches_reference_loop_over_aam_grad(self):
+        rng = np.random.default_rng(11)
+        n, dim, classes, epochs, lr, seed = 400, 16, 20, 25, 0.3, 4
+        labels = np.arange(n) % classes
+        embs = rng.standard_normal((n, dim))
+        init = aam.init_head(classes, dim, seed)
+        far = rng.choice(n, size=40, replace=False)
+        embs[far] = -init.weight[labels[far]] + 0.02 * rng.standard_normal((40, dim))
+        assert np.sum(true_class_cosines(embs, labels, init) <= -math.cos(CFG.margin)) >= 30
+
+        head, trace = aam.finetune_head(embs, labels, CFG, epochs=epochs,
+                                        learning_rate=lr, seed=seed)
+        ref, ref_trace = init, []
+        for _ in range(epochs):
+            loss, grad_w, _ = aam.aam_grad(embs, labels, ref, CFG)
+            ref_trace.append(loss)
+            ref.weight -= lr * grad_w
+        assert np.array_equal(trace, ref_trace)
+        assert np.array_equal(head.weight, ref.weight)
+
+    def test_peak_memory_bounded_by_score_matrix(self):
+        # Full-batch training needs one (batch, classes) float64 buffer;
+        # a fresh temporary per softmax step would multiply the peak.
+        rng = np.random.default_rng(12)
+        n, classes = 2000, 150
+        embs = rng.standard_normal((n, 32))
+        labels = np.arange(n) % classes
+        tracemalloc.start()
+        try:
+            aam.finetune_head(embs, labels, CFG, epochs=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * classes * 8
+
 
 class TestHeadFile:
     def test_roundtrip(self, tmp_path):
@@ -247,3 +312,10 @@ class TestHeadFile:
         aam.save_head(head, tmp_path / "h.svw")
         back = aam.load_head(tmp_path / "h.svw")
         np.testing.assert_array_equal(back.weight.astype(np.float64), head.weight)
+
+    def test_non_finite_weight_rejected(self, tmp_path):
+        weight = aam.init_head(4, 6, 0).weight
+        weight[2, 3] = np.nan
+        tensorio.write_tensors(tmp_path / "h.svw", {"aam.weight": weight})
+        with pytest.raises(ValueError, match="bad weight file: non-finite values in aam.weight"):
+            aam.load_head(tmp_path / "h.svw")
