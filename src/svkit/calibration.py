@@ -43,6 +43,8 @@ def fuse_weighted(scoresets: list[ScoreSet], weights) -> ScoreSet:
     weights = np.asarray(weights, dtype=np.float64)
     if len(weights) != len(scoresets):
         raise ValueError("one weight per score set required")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("fusion weights must be finite")
     total = float(np.sum(weights))
     if total == 0.0:
         raise ValueError("fusion weights sum to zero")

@@ -79,7 +79,6 @@ def cmd_synth(args) -> int:
 
 def cmd_feats(args) -> int:
     cfg = _load_pipeline_config(args)
-    feat_cfg = cfg.feature_config()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     wavs = sorted(Path(args.wav_dir).glob("*.wav"))
@@ -88,24 +87,22 @@ def cmd_feats(args) -> int:
     extractor = frontend.fbank if args.feat == "fbank" else frontend.plp
     for path in wavs:
         wave = frontend.read_wav(path)
-        feats = extractor(wave, feat_cfg)
+        feats = extractor(wave)
         if cfg.apply_stmn:
-            feats = frontend.stmn(feats, feat_cfg.stmn_window)
+            feats = frontend.stmn(feats)
         tensorio.write_feature_matrix(out_dir / f"{path.stem}.feat", feats.data)
     print(f"extracted {args.feat} features for {len(wavs)} files", file=sys.stderr)
     return 0
 
 
 def cmd_vad(args) -> int:
-    cfg = _load_pipeline_config(args)
-    feat_cfg = cfg.feature_config()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     wavs = sorted(Path(args.wav_dir).glob("*.wav"))
     if not wavs:
         raise ValueError(f"no WAV files in {args.wav_dir}")
     for path in wavs:
-        mask = frontend.energy_vad(frontend.read_wav(path), feat_cfg)
+        mask = frontend.energy_vad(frontend.read_wav(path))
         tensorio.write_feature_matrix(out_dir / f"{path.stem}.vad", mask[:, None].astype(np.float32))
     print(f"computed VAD for {len(wavs)} files", file=sys.stderr)
     return 0
@@ -113,7 +110,6 @@ def cmd_vad(args) -> int:
 
 def cmd_embed(args) -> int:
     cfg = _load_pipeline_config(args)
-    feat_cfg = cfg.feature_config()
     feat_paths = sorted(Path(args.feats_dir).glob("*.feat"))
     if not feat_paths:
         raise ValueError(f"no feature files in {args.feats_dir}")
@@ -128,9 +124,8 @@ def cmd_embed(args) -> int:
     net = nnet.prepare(spec, weights)
     out: dict[str, np.ndarray] = {}
     for path in feat_paths:
-        feats = frontend.FeatureMatrix(
-            tensorio.read_feature_matrix(path), feat_cfg.frame_shift, feat_cfg.frame_length
-        )
+        feats = frontend.FeatureMatrix(tensorio.read_feature_matrix(path),
+                                       frontend.FeatureConfig.frame_shift)
         if args.vad_dir:
             mask = tensorio.read_feature_matrix(Path(args.vad_dir) / f"{path.stem}.vad")
             feats = frontend.apply_vad(feats, mask[:, 0] > 0.5)
@@ -156,7 +151,6 @@ def cmd_train_plda(args) -> int:
         rank_speaker=rank,
         rank_channel=min(cfg.plda_rank_channel, x.shape[1]),
         em_iters=cfg.em_iters,
-        lda_epsilon=cfg.lda_epsilon,
         seed=args.seed,
     )
     trained = backend_mod.train_backend(x, labels, bcfg)
@@ -198,21 +192,19 @@ def cmd_snorm(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    cfg = _load_pipeline_config(args)
     scores = load_scores(args.scores)
     key = load_trials(args.key)
-    result = calibration.calibrate_pipeline([scores], key, cfg.calibration_prior)
+    result = calibration.calibrate_pipeline([scores], key)
     save_scores(args.out, result.scores)
     print("calibrated scores written", file=sys.stderr)
     return 0
 
 
 def cmd_fuse(args) -> int:
-    cfg = _load_pipeline_config(args)
     scoresets = [load_scores(p) for p in args.scores]
     if args.key:
         key = load_trials(args.key)
-        result = calibration.calibrate_pipeline(scoresets, key, cfg.calibration_prior)
+        result = calibration.calibrate_pipeline(scoresets, key)
         fused = result.scores
     else:
         weights = ([float(w) for w in args.weights.split(",")] if args.weights
@@ -229,7 +221,7 @@ def cmd_eval(args) -> int:
     cfg = _load_pipeline_config(args)
     scores = load_scores(args.scores)
     key = load_trials(args.key)
-    params = metrics.DcfParams(cfg.dcf_p_target, cfg.dcf_c_miss, cfg.dcf_c_fa)
+    params = metrics.DcfParams(cfg.dcf_p_target)
     eer = metrics.compute_eer(scores, key)
     dcf = metrics.compute_min_dcf(scores, key, params)
     line = metrics.format_metrics(eer, dcf, params)
@@ -263,7 +255,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_feats)
 
     p = sub.add_parser("vad", help="compute energy VAD masks")
-    p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--wav-dir", required=True)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_vad)
@@ -306,14 +297,12 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_snorm)
 
     p = sub.add_parser("calibrate", help="logistic-regression calibration")
-    p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--scores", required=True)
     p.add_argument("--key", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("fuse", help="fuse score sets (weighted or trained)")
-    p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--scores", nargs="+", required=True)
     p.add_argument("--out", required=True)
     mode = p.add_mutually_exclusive_group()

@@ -1,50 +1,30 @@
 """Flat key = value pipeline configuration.
 
-Defaults match the reference operating point: S-norm top-X 300, PLDA
-subspace ranks 312. The AAM operating point (scale 30, margin 0.2) lives
-in ``aam.AamConfig``, not here. Unknown keys are rejected.
+Only the settings that a run changes are keys here: STMN on/off, the
+embedding size, the S-norm top-X, the PLDA ranks and EM iterations, and
+the minDCF target prior. Each default is taken from the library class
+that owns it (``SnormConfig``, ``BackendConfig``, ``DcfParams``), so the
+reference operating point (top-X 300, PLDA ranks 312, p_target 0.05) is
+written once. The front-end recipe lives in ``frontend.FeatureConfig``,
+the AAM operating point in ``aam.AamConfig``. Unknown keys are rejected.
 """
 
 from dataclasses import dataclass, fields
 
-from .frontend import FeatureConfig
+from .backend import BackendConfig
+from .metrics import DcfParams
+from .scorenorm import SnormConfig
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    frame_length_ms: float = 25.0
-    frame_shift_ms: float = 10.0
-    low_freq: float = 20.0
-    high_freq: float = 7600.0
-    num_filters: int = 40
-    num_plp_coeffs: int = 30
-    stmn_window_s: float = 3.0
     apply_stmn: bool = True
-    vad_energy_mean_scale: float = -0.5
-    vad_context: int = 5
     embedding_dim: int = 0  # 0 means the architecture default
-    snorm_top_x: int = 300
-    plda_rank_speaker: int = 312
-    plda_rank_channel: int = 312
-    em_iters: int = 10
-    lda_epsilon: float = 1e-6
-    calibration_prior: float = 0.5
-    dcf_p_target: float = 0.05
-    dcf_c_miss: float = 1.0
-    dcf_c_fa: float = 1.0
-
-    def feature_config(self) -> FeatureConfig:
-        return FeatureConfig(
-            frame_length=self.frame_length_ms / 1000.0,
-            frame_shift=self.frame_shift_ms / 1000.0,
-            low_freq=self.low_freq,
-            high_freq=self.high_freq,
-            num_filters=self.num_filters,
-            num_plp_coeffs=self.num_plp_coeffs,
-            stmn_window=self.stmn_window_s,
-            vad_energy_mean_scale=self.vad_energy_mean_scale,
-            vad_context=self.vad_context,
-        )
+    snorm_top_x: int = SnormConfig.top_x
+    plda_rank_speaker: int = BackendConfig.rank_speaker
+    plda_rank_channel: int = BackendConfig.rank_channel
+    em_iters: int = BackendConfig.em_iters
+    dcf_p_target: float = DcfParams.p_target
 
 
 def _convert(name: str, kind, raw: str, lineno: int):

@@ -80,11 +80,10 @@ class FeatureConfig:
 
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
-    """Per-frame feature rows plus the framing metadata they were cut with."""
+    """Per-frame feature rows plus the frame shift they were cut with."""
 
     data: np.ndarray
     frame_shift: float
-    frame_length: float
 
     def __post_init__(self):
         object.__setattr__(self, "data", np.asarray(self.data, dtype=np.float64))
@@ -180,7 +179,7 @@ def fbank(wave: Waveform, cfg: FeatureConfig = FeatureConfig()) -> FeatureMatrix
     """Log mel-filterbank energies, one row per frame."""
     energies, _ = _mel_energies(wave, cfg)
     feats = np.log(np.maximum(energies, ENERGY_FLOOR))
-    return FeatureMatrix(feats, cfg.frame_shift, cfg.frame_length)
+    return FeatureMatrix(feats, cfg.frame_shift)
 
 
 def _equal_loudness(freq_hz: np.ndarray) -> np.ndarray:
@@ -241,18 +240,16 @@ def plp(wave: Waveform, cfg: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
     order = cfg.num_plp_coeffs
     a, err = _levinson(autocorr[:, : order + 1], order)
     feats = _lpc_to_cepstrum(a, err, cfg.num_plp_coeffs)
-    return FeatureMatrix(feats, cfg.frame_shift, cfg.frame_length)
+    return FeatureMatrix(feats, cfg.frame_shift)
 
 
-def stmn(feats: FeatureMatrix, window_s: float | None = None) -> FeatureMatrix:
+def stmn(feats: FeatureMatrix, window_s: float = FeatureConfig.stmn_window) -> FeatureMatrix:
     """Short-time mean normalization over a sliding window.
 
     The window is centered on each frame and shrinks at utterance edges;
     an utterance no longer than half the window degenerates to global
     mean subtraction.
     """
-    if window_s is None:
-        window_s = FeatureConfig().stmn_window
     if window_s <= 0:
         raise ValueError("invalid config: nonpositive stmn window")
     data = feats.data
@@ -267,7 +264,7 @@ def stmn(feats: FeatureMatrix, window_s: float | None = None) -> FeatureMatrix:
     shifted = data - data[0]
     csum = np.vstack([np.zeros((1, data.shape[1])), np.cumsum(shifted, axis=0)])
     means = (csum[stop + 1] - csum[start]) / (stop - start + 1)[:, None]
-    return FeatureMatrix(shifted - means, feats.frame_shift, feats.frame_length)
+    return FeatureMatrix(shifted - means, feats.frame_shift)
 
 
 def _frame_log_energy(wave: Waveform, cfg: FeatureConfig) -> np.ndarray:
@@ -304,7 +301,7 @@ def apply_vad(feats: FeatureMatrix, mask: np.ndarray) -> FeatureMatrix:
         raise ValueError("mask/feature mismatch")
     if not mask.any():
         raise ValueError("no speech: VAD removed every frame")
-    return FeatureMatrix(feats.data[mask], feats.frame_shift, feats.frame_length)
+    return FeatureMatrix(feats.data[mask], feats.frame_shift)
 
 
 def _fit_length(noise: np.ndarray, n: int) -> np.ndarray:

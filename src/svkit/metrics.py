@@ -28,7 +28,7 @@ class DcfParams:
 
 
 def split_tar_non(scores: ScoreSet, key: TrialList) -> tuple[np.ndarray, np.ndarray]:
-    """Target and nontarget score arrays for a keyed trial list."""
+    """Target and nontarget score arrays; scores and key hold the same trials."""
     if key.labels is None:
         raise ValueError("key must be labeled")
     labels = {pair: bool(lab) for pair, lab in zip(key.pairs(), key.labels)}
@@ -37,6 +37,10 @@ def split_tar_non(scores: ScoreSet, key: TrialList) -> tuple[np.ndarray, np.ndar
         if pair not in labels:
             raise ValueError(f"trial not in key: {pair[0]} {pair[1]}")
         mask[i] = labels[pair]
+    if len(scores) < len(key):
+        scored = set(scores.pairs())
+        e, t = next(pair for pair in key.pairs() if pair not in scored)
+        raise ValueError(f"key trial not scored: {e} {t}")
     tar = scores.scores[mask]
     non = scores.scores[~mask]
     if len(tar) == 0 or len(non) == 0:

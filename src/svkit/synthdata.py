@@ -21,6 +21,9 @@ _STREAM_UTT = 2
 _STREAM_TRIALS = 3
 _STREAM_WAVE = 4
 
+SAMPLE_RATE = 16000
+GAIN_JITTER_DB = 3.0
+
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *key))))
@@ -37,26 +40,21 @@ class SynthSpec:
     speaker_scale: float = 3.0
     channel_scale: float = 1.0
     noise_scale: float = 0.5
-    model: PldaModel | None = None
     # toy corpus knobs
     duration_s: float = 1.0
-    sample_rate: int = 16000
     resonances_hz: tuple[float, ...] | None = None
-    gain_jitter_db: float = 3.0
 
     def __post_init__(self):
         if self.num_speakers < 2:
             raise ValueError("need at least two speakers")
         if self.utts_per_speaker < 1:
             raise ValueError("need at least one utterance per speaker")
-        if not np.isfinite(self.duration_s) or round(self.duration_s * self.sample_rate) < 1:
+        if not np.isfinite(self.duration_s) or round(self.duration_s * SAMPLE_RATE) < 1:
             raise ValueError(f"duration must be at least one sample: {self.duration_s!r} s")
 
 
 def true_model(spec: SynthSpec) -> PldaModel:
-    """Ground-truth generative model, explicit or drawn from the model stream."""
-    if spec.model is not None:
-        return spec.model
+    """Ground-truth generative model, drawn from the model stream."""
     rng = _rng(spec.seed, _STREAM_MODEL)
     v = np.linalg.qr(rng.standard_normal((spec.dim, spec.rank_speaker)))[0] * spec.speaker_scale
     u = np.linalg.qr(rng.standard_normal((spec.dim, spec.rank_channel)))[0] * spec.channel_scale
@@ -137,18 +135,18 @@ def gen_toy_corpus(spec: SynthSpec) -> tuple[list[Waveform], list[str]]:
         if len(spec.resonances_hz) != spec.num_speakers:
             raise ValueError("one resonance per speaker required")
         freqs = np.asarray(spec.resonances_hz, dtype=np.float64)
-    n_samples = int(round(spec.duration_s * spec.sample_rate))
+    n_samples = int(round(spec.duration_s * SAMPLE_RATE))
     waves: list[Waveform] = []
     labels: list[str] = []
     for s, spk in enumerate(speaker_ids(spec)):
-        b, a = _resonator(freqs[s], spec.sample_rate)
+        b, a = _resonator(freqs[s], SAMPLE_RATE)
         for t in range(spec.utts_per_speaker):
             rng = _rng(spec.seed, _STREAM_WAVE, s, t)
             noise = rng.standard_normal(n_samples)
             x = scipy.signal.lfilter(b, a, noise)
             x *= 0.1 / np.sqrt(np.mean(x * x))
-            jitter_db = rng.uniform(-spec.gain_jitter_db, spec.gain_jitter_db)
+            jitter_db = rng.uniform(-GAIN_JITTER_DB, GAIN_JITTER_DB)
             x *= 10.0 ** (jitter_db / 20.0)
-            waves.append(Waveform(x, spec.sample_rate))
+            waves.append(Waveform(x, SAMPLE_RATE))
             labels.append(spk)
     return waves, labels

@@ -5,7 +5,13 @@ import pytest
 
 from svkit import calibration, cli
 from svkit.config import PipelineConfig, parse_config
+from svkit.frontend import FeatureConfig
 from svkit.trials import ScoreSet, TrialList, load_scores, save_scores, save_trials
+
+# once config keys, now fixed in FeatureConfig, BackendConfig, DcfParams and calibrate_pipeline
+REMOVED_KEYS = ("frame_length_ms", "frame_shift_ms", "low_freq", "high_freq", "num_filters",
+                "num_plp_coeffs", "stmn_window_s", "vad_energy_mean_scale", "vad_context",
+                "lda_epsilon", "calibration_prior", "dcf_c_miss", "dcf_c_fa")
 
 
 class TestConfig:
@@ -15,30 +21,30 @@ class TestConfig:
         assert cfg.plda_rank_speaker == 312
         assert cfg.plda_rank_channel == 312
         assert calibration.FUSION_WEIGHTS == (0.4, 0.4, 0.1, 0.1)
-        assert cfg.frame_length_ms == 25.0
-        assert cfg.low_freq == 20.0 and cfg.high_freq == 7600.0
-        assert cfg.num_filters == 40 and cfg.num_plp_coeffs == 30
-        assert cfg.stmn_window_s == 3.0
+        feat_cfg = FeatureConfig()
+        assert feat_cfg.frame_length == 0.025
+        assert feat_cfg.low_freq == 20.0 and feat_cfg.high_freq == 7600.0
+        assert feat_cfg.num_filters == 40 and feat_cfg.num_plp_coeffs == 30
+        assert feat_cfg.stmn_window == 3.0
 
     def test_parse_and_types(self):
         cfg = parse_config(
-            "calibration_prior = 0.25\n"
             "snorm_top_x = 50  # clamped later\n"
             "dcf_p_target = 0.01\n"
             "apply_stmn = false\n"
             "em_iters = 3\n"
         )
-        assert cfg.calibration_prior == 0.25
         assert cfg.snorm_top_x == 50
         assert cfg.dcf_p_target == 0.01
         assert cfg.apply_stmn is False
         assert cfg.em_iters == 3
 
     def test_unknown_key_rejected(self):
-        # all but the first were keys once: four were never read, and the last
+        # all but the first were keys once: four were never read, the next
         # five are set by the flags --seed, --backend, --arch, --feat and --weights
         for key in ("snr", "snorm", "aam_scale", "aam_margin", "backend_max_train_utts",
-                    "seed", "backend", "arch", "feature_type", "fusion_weights"):
+                    "seed", "backend", "arch", "feature_type", "fusion_weights",
+                    *REMOVED_KEYS):
             with pytest.raises(ValueError, match="unknown config key"):
                 parse_config(f"{key} = 15\n")
 
@@ -67,6 +73,16 @@ class TestEvalCommand:
     def test_missing_file_is_data_error(self, tmp_path):
         s, k = separated_scores(tmp_path)
         assert cli.main(["eval", "--scores", str(tmp_path / "nope.txt"), "--key", str(k)]) == 2
+
+    def test_unscored_key_trial_is_data_error(self, tmp_path, capsys):
+        save_trials(tmp_path / "k.txt", TrialList(["a", "c", "e", "g"], ["b", "d", "f", "h"],
+                                                  np.array([True, True, False, False])))
+        save_scores(tmp_path / "s.txt", ScoreSet(["e", "a"], ["f", "b"], np.array([-1.0, 1.0])))
+        assert cli.main(["eval", "--scores", str(tmp_path / "s.txt"),
+                         "--key", str(tmp_path / "k.txt")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: key trial not scored: c d\n"
 
 
 class TestUsage:
@@ -121,6 +137,15 @@ class TestFuseCommand:
         assert cli.main(["fuse", "--scores", *sets, "--key", str(tmp_path / "key.txt"),
                          "--out", str(out)]) == 0
         assert len(load_scores(out)) == n
+
+    @pytest.mark.parametrize("weights", ["nan", "inf", "1,nan"])
+    def test_non_finite_weights_are_data_error(self, tmp_path, capsys, weights):
+        s, _ = separated_scores(tmp_path)
+        out = tmp_path / "fused.txt"
+        assert cli.main(["fuse", "--scores", str(s), str(s), "--out", str(out),
+                         "--weights", weights]) == 2
+        assert capsys.readouterr().err == "error: fusion weights must be finite\n"
+        assert not out.exists()
 
 
 class TestPipelineChain:
@@ -213,7 +238,8 @@ class TestPipelineChain:
         s, k = separated_scores(tmp_path)
         cfg = tmp_path / "svkit.cfg"
         for key in ("bogus", "snorm", "aam_scale", "aam_margin", "backend_max_train_utts",
-                    "seed", "backend", "arch", "feature_type", "fusion_weights"):
+                    "seed", "backend", "arch", "feature_type", "fusion_weights",
+                    *REMOVED_KEYS):
             cfg.write_text(f"{key} = 1\n")
             assert cli.main(["eval", "--scores", str(s), "--key", str(k),
                              "--config", str(cfg)]) == 2
@@ -442,7 +468,7 @@ class TestFlags:
         *(pytest.param(argv, ["--seed", "1"], None, id=f"{argv[0]}-seed")
           for argv in (FEATS, VAD, SCORE, SNORM, CALIBRATE, FUSE, EVAL)),
         *(pytest.param(argv, ["--config", "c"], None, id=f"{argv[0]}-config")
-          for argv in (SYNTH, SCORE)),
+          for argv in (SYNTH, VAD, SCORE, CALIBRATE, FUSE)),
         pytest.param(EVAL, ["--dcf-ptarget", "0.01"], None, id="eval-dcf-ptarget"),
         # feature_type = mfcc was accepted from a config file and ran PLP
         pytest.param(FEATS, ["--feat", "mfcc"], "argument --feat: invalid choice: 'mfcc'",
@@ -473,6 +499,18 @@ class TestFlags:
             if opt not in ("-h", "--help") and f'"{opt}"' not in text and f"'{opt}'" not in text
         )
         assert unused == []
+
+    def test_every_config_key_is_set_by_a_test_or_workload(self):
+        """Each PipelineConfig key is written as "key = " by some test or perfbench workload."""
+        from dataclasses import fields
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        sources = [*sorted((root / "tests").glob("*.py")),
+                   root / "perfbench" / "svbench" / "workloads.py"]
+        text = "\n".join(p.read_text(encoding="utf-8") for p in sources)
+        unset = [f.name for f in fields(PipelineConfig) if f"{f.name} = " not in text]
+        assert unset == []
 
     def test_every_config_key_is_read(self):
         """Each PipelineConfig field is read by a subcommand or by PipelineConfig itself."""

@@ -182,6 +182,13 @@ class TestInvariances:
         assert mt.compute_eer(shuffled, key) == mt.compute_eer(scores, key)
         assert mt.compute_min_dcf(shuffled, key) == mt.compute_min_dcf(scores, key)
 
+    def test_unscored_key_trial_rejected(self):
+        key = TrialList(["a", "c", "e", "g"], ["b", "d", "f", "h"],
+                        np.array([True, True, False, False]))
+        scores = ScoreSet(["e", "a"], ["f", "b"], np.array([-1.0, 1.0]))
+        with pytest.raises(ValueError, match="^key trial not scored: c d$"):
+            mt.split_tar_non(scores, key)
+
     def test_oracle_agreement_many_seeds(self):
         for seed in range(50):
             rng = np.random.default_rng(seed)
