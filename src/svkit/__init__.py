@@ -1,10 +1,10 @@
 """svkit: a desk-scale speaker verification toolkit.
 
-Acoustic front end (FBank/PLP, short-time mean normalization, energy VAD,
-augmentation), TDNN and ResNet34 embedding extractors with statistics
-pooling, additive-angular-margin head training, PLDA and cosine backends,
-adaptive symmetric score normalization, calibration/fusion, and EER /
-minDCF evaluation, all verifiable on synthetic data.
+Acoustic front end (FBank/PLP, short-time mean normalization, energy VAD)
+on a fixed 16 kHz recipe, TDNN and ResNet34 embedding extractors with
+statistics pooling, additive-angular-margin head training, PLDA and cosine
+backends, adaptive symmetric score normalization, calibration/fusion, and
+EER / minDCF evaluation, all verifiable on synthetic data.
 """
 
 from .aam import AamConfig, AamHead, aam_grad, aam_logits, aam_loss, finetune_head
@@ -12,7 +12,6 @@ from .backend import (
     Backend,
     BackendConfig,
     PldaModel,
-    apply_center,
     cosine_score,
     estimate_center,
     length_normalize,
@@ -31,20 +30,17 @@ from .calibration import (
 )
 from .config import PipelineConfig, load_config, parse_config
 from .frontend import (
-    FeatureConfig,
     FeatureMatrix,
     Waveform,
     apply_vad,
     energy_vad,
     fbank,
-    mix_noise,
     plp,
     read_wav,
-    reverberate,
     stmn,
     write_wav,
 )
-from .metrics import DcfParams, compute_eer, compute_min_dcf, det_points
+from .metrics import DcfParams, compute_eer, compute_min_dcf
 from .nnet import (
     Network,
     NetworkSpec,
@@ -53,11 +49,9 @@ from .nnet import (
     forward_resnet,
     forward_tdnn,
     init_weights,
-    load_weights,
     make_spec,
     prepare,
     resnet_spec,
-    save_weights,
     splice,
     stats_pooling,
     tdnn_spec,

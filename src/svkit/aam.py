@@ -209,11 +209,3 @@ def head_predict(embs, head: AamHead) -> np.ndarray:
 def save_head(head: AamHead, path) -> None:
     tensorio.write_tensors(path, {"aam.weight": head.weight})
 
-
-def load_head(path) -> AamHead:
-    tensors = tensorio.read_tensors(path)
-    if "aam.weight" not in tensors:
-        raise ValueError("bad weight file: missing aam.weight")
-    if not np.all(np.isfinite(tensors["aam.weight"])):
-        raise ValueError("bad weight file: non-finite values in aam.weight")
-    return AamHead(tensors["aam.weight"])

@@ -25,6 +25,8 @@ import scipy.linalg
 from . import tensorio
 from .trials import ScoreSet, TrialList
 
+LDA_EPSILON = 1e-6  # within-class scatter regularizer, relative to trace(S_w)/d
+
 
 @dataclass(frozen=True)
 class BackendConfig:
@@ -32,7 +34,6 @@ class BackendConfig:
     rank_speaker: int = 312
     rank_channel: int = 312
     em_iters: int = 10
-    lda_epsilon: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -101,10 +102,6 @@ def estimate_center(embeddings: np.ndarray) -> np.ndarray:
     return embeddings.mean(axis=0)
 
 
-def apply_center(emb: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    return np.asarray(emb, dtype=np.float64) - mean
-
-
 def length_normalize(emb: np.ndarray) -> np.ndarray:
     emb = np.asarray(emb, dtype=np.float64)
     norm = np.linalg.norm(emb, axis=-1, keepdims=True)
@@ -121,11 +118,11 @@ def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def train_lda(embeddings: np.ndarray, labels, epsilon: float = 1e-6) -> np.ndarray:
+def train_lda(embeddings: np.ndarray, labels) -> np.ndarray:
     """Full-dimension LDA; rows are directions sorted by discriminability.
 
     Solves the generalized eigenproblem S_b v = lambda S_w v with the
-    within-class scatter regularized by epsilon * trace(S_w)/d. All d
+    within-class scatter regularized by LDA_EPSILON * trace(S_w)/d. All d
     eigenvectors are kept; directions beyond rank(S_b) come out of the
     same S_w-orthogonal basis.
     """
@@ -141,7 +138,7 @@ def train_lda(embeddings: np.ndarray, labels, epsilon: float = 1e-6) -> np.ndarr
     gap = means - x.mean(axis=0)
     s_w = diff.T @ diff / n
     s_b = (gap.T * counts) @ gap / n
-    s_w += (epsilon * np.trace(s_w) / d) * np.eye(d)
+    s_w += (LDA_EPSILON * np.trace(s_w) / d) * np.eye(d)
     try:
         eigvals, eigvecs = scipy.linalg.eigh(s_b, s_w)
     except np.linalg.LinAlgError as exc:
@@ -258,7 +255,7 @@ def train_backend(embeddings: np.ndarray, labels, cfg: BackendConfig = BackendCo
     if cfg.kind == "cosine":
         return Backend("cosine", mean)
     centered = embeddings - mean
-    lda = train_lda(centered, labels, cfg.lda_epsilon)
+    lda = train_lda(centered, labels)
     projected = length_normalize(centered @ lda.T)
     plda = train_plda(projected, labels, cfg)
     return Backend("plda", mean, lda, plda)

@@ -5,7 +5,9 @@ pipeline.
 The logistic regression minimizes the prior-weighted binary cross-entropy
 of sigmoid(w . s + b + logit(prior)) by deterministic gradient descent
 with backtracking line search, starting from w = 0, b = 0. The objective
-is convex, so the optimum is unique up to tolerance.
+is convex, but the descent stops when a step improves the cross-entropy
+by less than 1e-10 or after 1000 steps, so it can end short of the
+optimum.
 """
 
 from dataclasses import dataclass
@@ -146,8 +148,8 @@ class CalibrationResult:
     scores: ScoreSet
 
 
-def calibrate_pipeline(scoresets: list[ScoreSet], key: TrialList, prior: float = 0.5) -> CalibrationResult:
-    """Pre-calibrate each system, fuse by logistic regression, re-calibrate."""
+def calibrate_pipeline(scoresets: list[ScoreSet], key: TrialList) -> CalibrationResult:
+    """Pre-calibrate each system, fuse by logistic regression, re-calibrate, all at prior 0.5."""
     _check_aligned(scoresets)
     if key.labels is None:
         raise ValueError("key must be labeled")
@@ -155,14 +157,14 @@ def calibrate_pipeline(scoresets: list[ScoreSet], key: TrialList, prior: float =
     if bad is not None:
         raise ValueError(f"trial mismatch at: {bad[0]} {bad[1]}")
     targets = key.labels
-    system_models = [train_logreg(s.scores, targets, prior) for s in scoresets]
+    system_models = [train_logreg(s.scores, targets) for s in scoresets]
     calibrated = [
         apply_fusion([s], m) for s, m in zip(scoresets, system_models)
     ]
     stacked = np.stack([c.scores for c in calibrated], axis=1)
-    fusion_model = train_logreg(stacked, targets, prior)
+    fusion_model = train_logreg(stacked, targets)
     fused = apply_fusion(calibrated, fusion_model)
-    final_model = train_logreg(fused.scores, targets, prior)
+    final_model = train_logreg(fused.scores, targets)
     final = apply_fusion([fused], final_model)
     return CalibrationResult(system_models, fusion_model, final_model, final)
 

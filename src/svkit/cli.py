@@ -115,7 +115,7 @@ def cmd_embed(args) -> int:
         raise ValueError(f"no feature files in {args.feats_dir}")
     dim = tensorio.read_feature_matrix(feat_paths[0]).shape[1]
     if args.weights:
-        weights = nnet.load_weights(args.weights)
+        weights = tensorio.read_tensors(args.weights)
         spec = nnet.make_spec(args.arch, dim, nnet.num_classes_of(args.arch, weights),
                               cfg.embedding_dim or None)
     else:
@@ -124,8 +124,7 @@ def cmd_embed(args) -> int:
     net = nnet.prepare(spec, weights)
     out: dict[str, np.ndarray] = {}
     for path in feat_paths:
-        feats = frontend.FeatureMatrix(tensorio.read_feature_matrix(path),
-                                       frontend.FeatureConfig.frame_shift)
+        feats = frontend.FeatureMatrix(tensorio.read_feature_matrix(path), frontend.FRAME_SHIFT)
         if args.vad_dir:
             mask = tensorio.read_feature_matrix(Path(args.vad_dir) / f"{path.stem}.vad")
             feats = frontend.apply_vad(feats, mask[:, 0] > 0.5)
@@ -200,6 +199,13 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
+def _parse_weights(text: str) -> list[float]:
+    try:
+        return [float(w) for w in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--weights: expected comma-separated numbers, got {text!r}") from None
+
+
 def cmd_fuse(args) -> int:
     scoresets = [load_scores(p) for p in args.scores]
     if args.key:
@@ -207,8 +213,8 @@ def cmd_fuse(args) -> int:
         result = calibration.calibrate_pipeline(scoresets, key)
         fused = result.scores
     else:
-        weights = ([float(w) for w in args.weights.split(",")] if args.weights
-                   else list(calibration.FUSION_WEIGHTS))
+        weights = (list(calibration.FUSION_WEIGHTS) if args.weights is None
+                   else _parse_weights(args.weights))
         if len(weights) == 1 and len(scoresets) > 1:
             weights = weights * len(scoresets)
         fused = calibration.fuse_weighted(scoresets, weights)

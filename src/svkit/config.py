@@ -5,8 +5,9 @@ embedding size, the S-norm top-X, the PLDA ranks and EM iterations, and
 the minDCF target prior. Each default is taken from the library class
 that owns it (``SnormConfig``, ``BackendConfig``, ``DcfParams``), so the
 reference operating point (top-X 300, PLDA ranks 312, p_target 0.05) is
-written once. The front-end recipe lives in ``frontend.FeatureConfig``,
-the AAM operating point in ``aam.AamConfig``. Unknown keys are rejected.
+written once. The front-end recipe is fixed by the ``frontend`` module
+constants, the AAM operating point by ``aam.AamConfig``. Unknown keys
+and keys given twice are rejected.
 """
 
 from dataclasses import dataclass, fields
@@ -45,9 +46,10 @@ def _convert(name: str, kind, raw: str, lineno: int):
 
 
 def parse_config(text: str) -> PipelineConfig:
-    """Parse key = value lines; '#' starts a comment; unknown keys error."""
+    """Parse key = value lines; '#' starts a comment; unknown or repeated keys error."""
     types = {f.name: f.type for f in fields(PipelineConfig)}
     values = {}
+    first_line = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -58,7 +60,12 @@ def parse_config(text: str) -> PipelineConfig:
             raise ValueError(f"line {lineno}: expected key = value")
         if key not in types:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        values[key] = _convert(key, types[key], raw, lineno)
+        value = _convert(key, types[key], raw, lineno)
+        if key in first_line:
+            raise ValueError(f"line {lineno}: config key {key!r} already set on line "
+                             f"{first_line[key]}")
+        first_line[key] = lineno
+        values[key] = value
     return PipelineConfig(**values)
 
 

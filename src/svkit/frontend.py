@@ -1,23 +1,32 @@
 """Acoustic front end: framing, FBank and PLP features, short-time mean
-normalization, energy VAD, and waveform-level augmentation.
+normalization and energy VAD.
 
-All feature operations share one framing convention: windows of
-``frame_length`` seconds advanced by ``frame_shift`` seconds, giving
-``1 + floor((num_samples - frame_samples) / shift_samples)`` frames.
-Defaults follow the 16 kHz wideband recipe: 25 ms / 10 ms framing,
-40 mel filters between 20 and 7600 Hz, pre-emphasis 0.97.
+The recipe is fixed, the 16 kHz wideband one: 25 ms windows advanced by
+10 ms, giving ``1 + floor((num_samples - frame_samples) / shift_samples)``
+frames; pre-emphasis 0.97; 40 mel filters between 20 and 7600 Hz; 30 PLP
+coefficients; a 3 s STMN window; and a VAD threshold of mean - 0.5 std
+of the frame log energies with a 5-frame majority vote. Audio sampled
+below 15.2 kHz cannot carry the band and is rejected.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+FRAME_LENGTH = 0.025  # seconds
+FRAME_SHIFT = 0.010  # seconds
 PREEMPHASIS = 0.97
 ENERGY_FLOOR = 1e-10
+LOW_FREQ = 20.0  # Hz
+HIGH_FREQ = 7600.0  # Hz
+NUM_FILTERS = 40
+NUM_PLP_COEFFS = 30
+STMN_WINDOW = 3.0  # seconds
+VAD_ENERGY_MEAN_SCALE = -0.5
+VAD_CONTEXT = 5  # frames, odd
 
 __all__ = [
     "Waveform",
-    "FeatureConfig",
     "FeatureMatrix",
     "frame_count",
     "fbank",
@@ -25,8 +34,6 @@ __all__ = [
     "stmn",
     "energy_vad",
     "apply_vad",
-    "mix_noise",
-    "reverberate",
     "read_wav",
     "write_wav",
 ]
@@ -49,33 +56,6 @@ class Waveform:
     @property
     def duration(self) -> float:
         return len(self.samples) / self.sample_rate
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Front-end parameters. Times are in seconds, frequencies in Hz."""
-
-    frame_length: float = 0.025
-    frame_shift: float = 0.010
-    low_freq: float = 20.0
-    high_freq: float = 7600.0
-    num_filters: int = 40
-    num_plp_coeffs: int = 30
-    stmn_window: float = 3.0
-    vad_energy_mean_scale: float = -0.5
-    vad_context: int = 5
-
-    def __post_init__(self):
-        if not (0.0 < self.low_freq < self.high_freq):
-            raise ValueError("invalid config: need 0 < low_freq < high_freq")
-        if self.num_filters < self.num_plp_coeffs:
-            raise ValueError("invalid config: num_filters < num_plp_coeffs")
-        if self.frame_shift > self.frame_length:
-            raise ValueError("invalid config: frame_shift > frame_length")
-        if self.frame_shift <= 0:
-            raise ValueError("invalid config: nonpositive frame_shift")
-        if self.vad_context < 1 or self.vad_context % 2 == 0:
-            raise ValueError("invalid config: vad_context must be odd and >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,19 +86,20 @@ def frame_count(num_samples: int, frame_samples: int, shift_samples: int) -> int
     return 1 + (num_samples - frame_samples) // shift_samples
 
 
-def _check_wave(wave: Waveform, cfg: FeatureConfig) -> np.ndarray:
+def _check_wave(wave: Waveform) -> np.ndarray:
     x = wave.samples
     if x.size == 0 or not np.all(np.isfinite(x)):
         raise ValueError("invalid audio: empty or non-finite samples")
-    if cfg.high_freq > wave.sample_rate / 2:
-        raise ValueError("invalid config: high_freq above Nyquist")
+    if HIGH_FREQ > wave.sample_rate / 2:
+        raise ValueError(f"invalid audio: sample rate {wave.sample_rate} Hz, need at least "
+                         f"{2 * HIGH_FREQ:g} Hz for the {HIGH_FREQ:g} Hz filterbank edge")
     return x
 
 
-def _frame_sizes(cfg: FeatureConfig, sample_rate: int) -> tuple[int, int]:
+def _frame_sizes(sample_rate: int) -> tuple[int, int]:
     return (
-        int(round(cfg.frame_length * sample_rate)),
-        int(round(cfg.frame_shift * sample_rate)),
+        int(round(FRAME_LENGTH * sample_rate)),
+        int(round(FRAME_SHIFT * sample_rate)),
     )
 
 
@@ -152,10 +133,10 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def _mel_filterbank(cfg: FeatureConfig, sample_rate: int, nfft: int):
+def _mel_filterbank(sample_rate: int, nfft: int):
     """Triangular filters on the mel scale; returns (filters x bins, center Hz)."""
     edges = np.linspace(
-        _hz_to_mel(cfg.low_freq), _hz_to_mel(cfg.high_freq), cfg.num_filters + 2
+        _hz_to_mel(LOW_FREQ), _hz_to_mel(HIGH_FREQ), NUM_FILTERS + 2
     )
     bin_hz = np.arange(nfft // 2 + 1) * (sample_rate / nfft)
     bin_mel = _hz_to_mel(bin_hz)
@@ -166,20 +147,20 @@ def _mel_filterbank(cfg: FeatureConfig, sample_rate: int, nfft: int):
     return fb, _mel_to_hz(edges[1:-1])
 
 
-def _mel_energies(wave: Waveform, cfg: FeatureConfig):
-    x = _check_wave(wave, cfg)
-    frame_samples, shift_samples = _frame_sizes(cfg, wave.sample_rate)
+def _mel_energies(wave: Waveform):
+    x = _check_wave(wave)
+    frame_samples, shift_samples = _frame_sizes(wave.sample_rate)
     frames = _frame_matrix(x, frame_samples, shift_samples)
     power = _power_spectrum(frames)
-    fb, centers_hz = _mel_filterbank(cfg, wave.sample_rate, _next_pow2(frame_samples))
+    fb, centers_hz = _mel_filterbank(wave.sample_rate, _next_pow2(frame_samples))
     return power @ fb.T, centers_hz
 
 
-def fbank(wave: Waveform, cfg: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
+def fbank(wave: Waveform) -> FeatureMatrix:
     """Log mel-filterbank energies, one row per frame."""
-    energies, _ = _mel_energies(wave, cfg)
+    energies, _ = _mel_energies(wave)
     feats = np.log(np.maximum(energies, ENERGY_FLOOR))
-    return FeatureMatrix(feats, cfg.frame_shift)
+    return FeatureMatrix(feats, FRAME_SHIFT)
 
 
 def _equal_loudness(freq_hz: np.ndarray) -> np.ndarray:
@@ -223,7 +204,7 @@ def _lpc_to_cepstrum(a: np.ndarray, err: np.ndarray, num_ceps: int) -> np.ndarra
     return c
 
 
-def plp(wave: Waveform, cfg: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
+def plp(wave: Waveform) -> FeatureMatrix:
     """Perceptual linear prediction cepstra.
 
     Pipeline: power spectrum, mel filterbank, equal-loudness weighting,
@@ -232,18 +213,17 @@ def plp(wave: Waveform, cfg: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
     Linear prediction and the cepstral recursion run once on all frames,
     looping over the prediction order; any unstable frame raises ValueError.
     """
-    energies, centers_hz = _mel_energies(wave, cfg)
+    energies, centers_hz = _mel_energies(wave)
     compressed = (np.maximum(energies, ENERGY_FLOOR) * _equal_loudness(centers_hz)) ** (1.0 / 3.0)
     # Even-symmetric extension so the inverse FFT yields an autocorrelation.
     spectrum = np.concatenate([compressed, compressed[:, -2:0:-1]], axis=1)
     autocorr = np.fft.ifft(spectrum, axis=1).real
-    order = cfg.num_plp_coeffs
-    a, err = _levinson(autocorr[:, : order + 1], order)
-    feats = _lpc_to_cepstrum(a, err, cfg.num_plp_coeffs)
-    return FeatureMatrix(feats, cfg.frame_shift)
+    a, err = _levinson(autocorr[:, : NUM_PLP_COEFFS + 1], NUM_PLP_COEFFS)
+    feats = _lpc_to_cepstrum(a, err, NUM_PLP_COEFFS)
+    return FeatureMatrix(feats, FRAME_SHIFT)
 
 
-def stmn(feats: FeatureMatrix, window_s: float = FeatureConfig.stmn_window) -> FeatureMatrix:
+def stmn(feats: FeatureMatrix, window_s: float = STMN_WINDOW) -> FeatureMatrix:
     """Short-time mean normalization over a sliding window.
 
     The window is centered on each frame and shrinks at utterance edges;
@@ -267,25 +247,25 @@ def stmn(feats: FeatureMatrix, window_s: float = FeatureConfig.stmn_window) -> F
     return FeatureMatrix(shifted - means, feats.frame_shift)
 
 
-def _frame_log_energy(wave: Waveform, cfg: FeatureConfig) -> np.ndarray:
-    x = _check_wave(wave, cfg)
-    frame_samples, shift_samples = _frame_sizes(cfg, wave.sample_rate)
+def _frame_log_energy(wave: Waveform) -> np.ndarray:
+    x = _check_wave(wave)
+    frame_samples, shift_samples = _frame_sizes(wave.sample_rate)
     frames = _frame_matrix(x, frame_samples, shift_samples)
     return np.log(np.maximum(np.sum(frames * frames, axis=1), ENERGY_FLOOR))
 
 
-def energy_vad(wave: Waveform, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
+def energy_vad(wave: Waveform) -> np.ndarray:
     """Energy-based speech mask on the fbank framing.
 
     A frame is speech when its log energy reaches
-    mean + vad_energy_mean_scale * std, followed by a majority vote over a
-    centered context. Ties (threshold and vote) resolve to speech, which
+    mean + VAD_ENERGY_MEAN_SCALE * std, followed by a majority vote over
+    VAD_CONTEXT centered frames. Ties (threshold and vote) resolve to speech, which
     keeps the rule gain-invariant and total-silence-safe.
     """
-    log_e = _frame_log_energy(wave, cfg)
-    threshold = np.mean(log_e) + cfg.vad_energy_mean_scale * np.std(log_e)
+    log_e = _frame_log_energy(wave)
+    threshold = np.mean(log_e) + VAD_ENERGY_MEAN_SCALE * np.std(log_e)
     raw = log_e >= threshold
-    half = cfg.vad_context // 2
+    half = VAD_CONTEXT // 2
     n = len(raw)
     csum = np.concatenate([[0], np.cumsum(raw.astype(np.int64))])
     lo = np.maximum(np.arange(n) - half, 0)
@@ -302,42 +282,6 @@ def apply_vad(feats: FeatureMatrix, mask: np.ndarray) -> FeatureMatrix:
     if not mask.any():
         raise ValueError("no speech: VAD removed every frame")
     return FeatureMatrix(feats.data[mask], feats.frame_shift)
-
-
-def _fit_length(noise: np.ndarray, n: int) -> np.ndarray:
-    if len(noise) >= n:
-        return noise[:n]
-    reps = -(-n // len(noise))
-    return np.tile(noise, reps)[:n]
-
-
-def mix_noise(wave: Waveform, noise: Waveform, snr_db: float) -> Waveform:
-    """Add noise scaled to the requested SNR, measured over the full segment."""
-    if wave.sample_rate != noise.sample_rate:
-        raise ValueError("sample rate mismatch between signal and noise")
-    if noise.samples.size == 0:
-        raise ValueError("degenerate SNR: empty noise")
-    fitted = _fit_length(noise.samples, len(wave.samples))
-    p_sig = np.mean(wave.samples**2)
-    p_noise = np.mean(fitted**2)
-    if p_sig == 0.0 or p_noise == 0.0:
-        raise ValueError("degenerate SNR: zero-power signal or noise")
-    gain = np.sqrt(p_sig / p_noise) * 10.0 ** (-snr_db / 20.0)
-    return Waveform(wave.samples + gain * fitted, wave.sample_rate)
-
-
-def reverberate(wave: Waveform, rir: Waveform) -> Waveform:
-    """Convolve with an impulse response, truncate, and match peak amplitude."""
-    if wave.sample_rate != rir.sample_rate:
-        raise ValueError("sample rate mismatch between signal and RIR")
-    if rir.samples.size == 0:
-        raise ValueError("empty impulse response")
-    out = np.convolve(wave.samples, rir.samples)[: len(wave.samples)]
-    peak_in = np.max(np.abs(wave.samples)) if wave.samples.size else 0.0
-    peak_out = np.max(np.abs(out)) if out.size else 0.0
-    if peak_in > 0.0 and peak_out > 0.0:
-        out = out * (peak_in / peak_out)
-    return Waveform(out, wave.sample_rate)
 
 
 def read_wav(path) -> Waveform:

@@ -1,10 +1,11 @@
-"""Detection metrics: EER, normalized minimum detection cost, and DET
-operating points.
+"""Detection metrics: EER and normalized minimum detection cost.
 
 Thresholds sweep the sorted unique scores (decision: accept when
 score >= threshold) plus an all-reject sentinel. The EER is the crossing
 of the piecewise-linear miss and false-alarm curves between the adjacent
 sweep points where their difference changes sign, returned in percent.
+The detection cost weighs misses and false alarms equally
+(C_miss = C_fa = 1), so only the target prior is a parameter.
 """
 
 from dataclasses import dataclass
@@ -17,14 +18,10 @@ from .trials import ScoreSet, TrialList
 @dataclass(frozen=True)
 class DcfParams:
     p_target: float = 0.05
-    c_miss: float = 1.0
-    c_fa: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.p_target < 1.0:
             raise ValueError("p_target must be in (0, 1)")
-        if self.c_miss <= 0 or self.c_fa <= 0:
-            raise ValueError("costs must be positive")
 
 
 def split_tar_non(scores: ScoreSet, key: TrialList) -> tuple[np.ndarray, np.ndarray]:
@@ -75,8 +72,8 @@ def eer_from_tar_non(tar: np.ndarray, non: np.ndarray) -> float:
 def min_dcf_from_tar_non(tar: np.ndarray, non: np.ndarray, params: DcfParams = DcfParams()) -> float:
     """Normalized minimum detection cost over the threshold sweep."""
     p_miss, p_fa = _sweep(tar, non)
-    cost = params.c_miss * params.p_target * p_miss + params.c_fa * (1.0 - params.p_target) * p_fa
-    norm = min(params.c_miss * params.p_target, params.c_fa * (1.0 - params.p_target))
+    cost = params.p_target * p_miss + (1.0 - params.p_target) * p_fa
+    norm = min(params.p_target, 1.0 - params.p_target)
     return float(np.min(cost) / norm)
 
 
@@ -88,13 +85,6 @@ def compute_eer(scores: ScoreSet, key: TrialList) -> float:
 def compute_min_dcf(scores: ScoreSet, key: TrialList, params: DcfParams = DcfParams()) -> float:
     tar, non = split_tar_non(scores, key)
     return min_dcf_from_tar_non(tar, non, params)
-
-
-def det_points(scores: ScoreSet, key: TrialList) -> list[tuple[float, float]]:
-    """(P_miss, P_fa) staircase, one point per unique threshold plus reject-all."""
-    tar, non = split_tar_non(scores, key)
-    p_miss, p_fa = _sweep(tar, non)
-    return list(zip(p_miss.tolist(), p_fa.tolist()))
 
 
 def format_metrics(eer: float, dcf: float, params: DcfParams = DcfParams()) -> str:

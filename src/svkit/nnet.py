@@ -17,8 +17,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import tensorio
-
 BN_EPS = 1e-5
 STD_FLOOR = 1e-10
 
@@ -253,14 +251,6 @@ def validate_weights(spec: NetworkSpec, weights: dict[str, np.ndarray]) -> None:
             raise ValueError(
                 f"weights mismatch: {name} has shape {tuple(weights[name].shape)}, expected {shape}"
             )
-
-
-def save_weights(weights: dict[str, np.ndarray], path) -> None:
-    tensorio.write_tensors(path, weights)
-
-
-def load_weights(path) -> dict[str, np.ndarray]:
-    return tensorio.read_tensors(path)
 
 
 @dataclass(frozen=True, eq=False)

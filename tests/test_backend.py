@@ -35,14 +35,14 @@ def two_class_2d(seed=0, n=200, separation=4.0, angle=0.0):
 class TestCenter:
     def test_single_embedding_centers_to_zero(self):
         e = np.array([[1.0, -2.0, 3.0]])
-        mean = bk.estimate_center(e)
-        assert np.all(bk.apply_center(e[0], mean) == 0.0)
+        backend = bk.Backend("cosine", bk.estimate_center(e))
+        assert np.all(bk.preprocess(backend, e[0]) == 0.0)
 
     def test_symmetric_pair(self):
         v = np.array([2.0, -1.0])
         mean = bk.estimate_center(np.vstack([v, -v]))
         np.testing.assert_allclose(mean, 0.0, atol=1e-15)
-        np.testing.assert_allclose(bk.apply_center(v, mean), v, atol=1e-15)
+        np.testing.assert_allclose(bk.preprocess(bk.Backend("cosine", mean), v), v, atol=1e-15)
 
     def test_matches_accumulate_oracle(self):
         x = np.random.default_rng(0).standard_normal((500, 6))

@@ -1,14 +1,19 @@
 """CLI and configuration tests (in-process invocation of svkit.cli.main)."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from svkit import calibration, cli
+from svkit import backend, calibration, cli, frontend, metrics
 from svkit.config import PipelineConfig, parse_config
-from svkit.frontend import FeatureConfig
 from svkit.trials import ScoreSet, TrialList, load_scores, save_scores, save_trials
 
-# once config keys, now fixed in FeatureConfig, BackendConfig, DcfParams and calibrate_pipeline
+ROOT = Path(__file__).resolve().parent.parent
+
+# once config keys, now fixed: the front-end constants of svkit.frontend,
+# backend.LDA_EPSILON, the unit DCF costs and the calibration prior of 0.5
 REMOVED_KEYS = ("frame_length_ms", "frame_shift_ms", "low_freq", "high_freq", "num_filters",
                 "num_plp_coeffs", "stmn_window_s", "vad_energy_mean_scale", "vad_context",
                 "lda_epsilon", "calibration_prior", "dcf_c_miss", "dcf_c_fa")
@@ -21,11 +26,13 @@ class TestConfig:
         assert cfg.plda_rank_speaker == 312
         assert cfg.plda_rank_channel == 312
         assert calibration.FUSION_WEIGHTS == (0.4, 0.4, 0.1, 0.1)
-        feat_cfg = FeatureConfig()
-        assert feat_cfg.frame_length == 0.025
-        assert feat_cfg.low_freq == 20.0 and feat_cfg.high_freq == 7600.0
-        assert feat_cfg.num_filters == 40 and feat_cfg.num_plp_coeffs == 30
-        assert feat_cfg.stmn_window == 3.0
+        assert frontend.FRAME_LENGTH == 0.025 and frontend.FRAME_SHIFT == 0.010
+        assert frontend.LOW_FREQ == 20.0 and frontend.HIGH_FREQ == 7600.0
+        assert frontend.NUM_FILTERS == 40 and frontend.NUM_PLP_COEFFS == 30
+        assert frontend.STMN_WINDOW == 3.0
+        assert frontend.VAD_ENERGY_MEAN_SCALE == -0.5 and frontend.VAD_CONTEXT == 5
+        assert backend.LDA_EPSILON == 1e-6
+        assert metrics.DcfParams().p_target == 0.05
 
     def test_parse_and_types(self):
         cfg = parse_config(
@@ -51,6 +58,11 @@ class TestConfig:
     def test_bad_value_reports_line(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_config("em_iters = 1\nem_iters = two\n")
+
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ValueError,
+                           match=r"^line 3: config key 'em_iters' already set on line 1$"):
+            parse_config("em_iters = 1\n# a later override\nem_iters = 2\n")
 
 
 def separated_scores(tmp_path):
@@ -147,6 +159,16 @@ class TestFuseCommand:
         assert capsys.readouterr().err == "error: fusion weights must be finite\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("weights", ["", "1,abc"], ids=["empty", "not_a_number"])
+    def test_unparsable_weights_are_data_error(self, tmp_path, capsys, weights):
+        s, _ = separated_scores(tmp_path)
+        out = tmp_path / "fused.txt"
+        assert cli.main(["fuse", "--scores", str(s), str(s), "--out", str(out),
+                         "--weights", weights]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --weights: expected comma-separated numbers, got {weights!r}\n")
+        assert not out.exists()
+
 
 class TestPipelineChain:
     def run_chain(self, root):
@@ -233,6 +255,17 @@ class TestPipelineChain:
         assert cli.main(["eval", "--scores", str(s), "--key", str(k),
                          "--config", str(cfg)]) == 0
         assert "minDCF(p=0.2)" in capsys.readouterr().out
+
+    def test_repeated_config_key_is_data_error(self, tmp_path, capsys):
+        s, k = separated_scores(tmp_path)
+        cfg = tmp_path / "svkit.cfg"
+        cfg.write_text("dcf_p_target = 0.2\ndcf_p_target = 0.01\n")
+        assert cli.main(["eval", "--scores", str(s), "--key", str(k),
+                         "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: line 2: config key 'dcf_p_target' already set "
+                                "on line 1\n")
 
     def test_unknown_config_key_is_data_error(self, tmp_path, capsys):
         s, k = separated_scores(tmp_path)
@@ -344,6 +377,18 @@ class TestPipelineChain:
             err = capsys.readouterr().err
             assert err.startswith("error: invalid audio") and err.count("\n") == 1
 
+    def test_sample_rate_below_band_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        frontend.write_wav(corpus / "narrow.wav", frontend.Waveform(np.zeros(8000), 8000))
+        for command in ("feats", "vad"):
+            assert cli.main([command, "--wav-dir", str(corpus),
+                             "--out-dir", str(tmp_path / command)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid audio: sample rate 8000 Hz")
+            assert err.count("\n") == 1
+            assert not list((tmp_path / command).iterdir())
+
 
 class TestEmbedCommand:
     @pytest.mark.parametrize("arch", ["resnet34", "tdnn-standard"])
@@ -375,12 +420,12 @@ class TestEmbedCommand:
     @pytest.mark.parametrize("arch", ["resnet34", "tdnn-standard"])
     def test_weight_file_with_seven_classes_matches_the_seeded_init(self, small_corpus,
                                                                     tmp_path, arch):
-        from svkit import nnet
+        from svkit import nnet, tensorio
 
         _, feats, vad = small_corpus
         # the classifier is drawn last, so its size leaves the other tensors unchanged
         weights = tmp_path / f"{arch}.svw"
-        nnet.save_weights(nnet.init_weights(nnet.make_spec(arch, 40, 7), 1), weights)
+        tensorio.write_tensors(weights, nnet.init_weights(nnet.make_spec(arch, 40, 7), 1))
         embed = ["embed", "--feats-dir", str(feats), "--vad-dir", str(vad), "--arch", arch]
         assert cli.main(embed + ["--seed", "1", "--out", str(tmp_path / "seeded.svw")]) == 0
         assert cli.main(embed + ["--weights", str(weights),
@@ -391,12 +436,12 @@ class TestEmbedCommand:
                                                   ("tdnn-standard", "softmax.weight")])
     def test_weight_file_without_classifier_is_data_error(self, small_corpus, tmp_path, capsys,
                                                           arch, classifier):
-        from svkit import nnet
+        from svkit import nnet, tensorio
 
         _, feats, _ = small_corpus
         weights = nnet.init_weights(nnet.make_spec(arch, 40, 2), 1)
         del weights[classifier]
-        nnet.save_weights(weights, tmp_path / "partial.svw")
+        tensorio.write_tensors(tmp_path / "partial.svw", weights)
         out = tmp_path / "partial_emb.svw"
         assert cli.main(["embed", "--feats-dir", str(feats), "--arch", arch,
                          "--weights", str(tmp_path / "partial.svw"), "--out", str(out)]) == 2
@@ -450,6 +495,47 @@ CALIBRATE = ["calibrate", "--scores", "s", "--key", "k", "--out", "o"]
 FUSE = ["fuse", "--scores", "s", "--key", "k", "--out", "o"]
 EVAL = ["eval", "--scores", "s", "--key", "k"]
 
+# Public svkit names that no command or workload reaches. Each is a scalar
+# reference that the named test file checks a batched path against.
+REFERENCES = {
+    "tdnn_shape_audit": "test_nnet.py",
+    "oracle_scores": "test_backend.py",
+    "aam_logits": "test_aam.py",
+    "aam_loss": "test_aam.py",
+    "aam_grad": "test_aam.py",
+    "head_predict": "test_aam.py",
+}
+
+
+def public_definitions(paths) -> set[str]:
+    """Names of the public top-level functions and classes in ``paths``."""
+    return {node.name for path in paths for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+
+
+def referenced_names(paths) -> set[str]:
+    """Names read through an AST Name or Attribute node in ``paths``.
+
+    A use inside the top-level definition of the same name does not count.
+    Import statements and ``__all__`` strings hold no such node.
+    """
+    names = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        spans = {node.name: (node.lineno, node.end_lineno) for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            first, last = spans.get(name, (0, -1))
+            if not first <= node.lineno <= last:
+                names.add(name)
+    return names
+
 
 class TestFlags:
     def test_fuse_key_and_weights_together_is_usage_error(self, tmp_path, capsys):
@@ -499,6 +585,17 @@ class TestFlags:
             if opt not in ("-h", "--help") and f'"{opt}"' not in text and f"'{opt}'" not in text
         )
         assert unused == []
+
+    def test_every_public_name_is_reached_or_a_reference(self):
+        """Each public svkit function or class is used by svkit or a perfbench workload,
+        or is a REFERENCES entry that its test file uses and nothing else does."""
+        src = sorted((ROOT / "src" / "svkit").glob("*.py"))
+        public = public_definitions(src)
+        reached = referenced_names([*src, *sorted((ROOT / "perfbench" / "svbench").glob("*.py"))])
+        assert sorted(public - reached - REFERENCES.keys()) == []
+        for name, test_file in REFERENCES.items():
+            assert name in public and name not in reached, name
+            assert name in referenced_names([ROOT / "tests" / test_file]), name
 
     def test_every_config_key_is_set_by_a_test_or_workload(self):
         """Each PipelineConfig key is written as "key = " by some test or perfbench workload."""

@@ -1,4 +1,4 @@
-"""Front-end tests: framing, FBank/PLP, STMN, energy VAD, augmentation."""
+"""Front-end tests: framing, FBank/PLP, STMN, energy VAD, WAV and feature files."""
 
 import io
 import wave
@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from svkit import frontend as fe
 from svkit import tensorio
-
-CFG = fe.FeatureConfig()
 
 
 def hz_to_mel(f):
@@ -37,7 +35,7 @@ class TestFraming:
 
     def test_too_short_raises(self):
         with pytest.raises(ValueError, match="input too short"):
-            fe.fbank(fe.Waveform(np.zeros(399)), CFG)
+            fe.fbank(fe.Waveform(np.zeros(399)))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -61,76 +59,60 @@ class TestFraming:
 
 class TestFbank:
     def test_zero_waveform_floor_rows(self):
-        out = fe.fbank(fe.Waveform(np.zeros(16000)), CFG)
+        out = fe.fbank(fe.Waveform(np.zeros(16000)))
         assert out.data.shape == (98, 40)
         assert np.all(out.data == np.log(fe.ENERGY_FLOOR))
 
     def test_reference_band_limits_accepted(self):
-        cfg = fe.FeatureConfig(low_freq=20.0, high_freq=7600.0, num_filters=40)
-        out = fe.fbank(tone(440.0), cfg)
+        out = fe.fbank(tone(440.0))
         assert out.data.shape[1] == 40
 
     def test_tone_peaks_at_nearest_mel_center(self):
-        out = fe.fbank(tone(1000.0), CFG)
-        edges = np.linspace(hz_to_mel(CFG.low_freq), hz_to_mel(CFG.high_freq), 42)
+        out = fe.fbank(tone(1000.0))
+        edges = np.linspace(hz_to_mel(fe.LOW_FREQ), hz_to_mel(fe.HIGH_FREQ), 42)
         centers = mel_to_hz(edges[1:-1])
         assert out.data.mean(axis=0).argmax() == np.argmin(np.abs(centers - 1000.0))
 
     def test_deterministic(self):
         wave = seeded_noise(8000, 11)
-        a = fe.fbank(wave, CFG).data
-        b = fe.fbank(fe.Waveform(wave.samples.copy()), CFG).data
+        a = fe.fbank(wave).data
+        b = fe.fbank(fe.Waveform(wave.samples.copy())).data
         assert np.array_equal(a, b)
 
     def test_nonfinite_rejected(self):
         bad = np.zeros(1000)
         bad[3] = np.nan
         with pytest.raises(ValueError, match="invalid audio"):
-            fe.fbank(fe.Waveform(bad), CFG)
+            fe.fbank(fe.Waveform(bad))
+
+    def test_sample_rate_below_band_rejected(self):
+        # 8 kHz audio has its Nyquist frequency at 4 kHz, below the 7.6 kHz band edge
+        with pytest.raises(ValueError, match=r"^invalid audio: sample rate 8000 Hz"):
+            fe.fbank(fe.Waveform(np.zeros(8000), 8000))
 
 
 class TestPlp:
     def test_zero_waveform_constant_rows(self):
-        out = fe.plp(fe.Waveform(np.zeros(8000)), CFG)
+        out = fe.plp(fe.Waveform(np.zeros(8000)))
         assert out.data.shape == (48, 30)
         assert np.all(out.data == out.data[0])
 
     def test_gain_change_moves_only_energy_coefficient(self):
         wave = seeded_noise(8000, 5)
-        a = fe.plp(wave, CFG).data
-        b = fe.plp(fe.Waveform(2.0 * wave.samples), CFG).data
+        a = fe.plp(wave).data
+        b = fe.plp(fe.Waveform(2.0 * wave.samples)).data
         assert np.abs(a[:, 1:] - b[:, 1:]).max() < 1e-6
         # power spectrum scales by 4, cube-root compression turns that into
         # a log(4)/3 shift of the energy term
         np.testing.assert_allclose(b[:, 0] - a[:, 0], np.log(4.0) / 3.0, atol=1e-9)
 
     def test_30_coefficients_from_40_filters(self):
-        cfg = fe.FeatureConfig(num_filters=40, num_plp_coeffs=30)
-        out = fe.plp(seeded_noise(4000, 2), cfg)
+        out = fe.plp(seeded_noise(4000, 2))
         assert out.data.shape[1] == 30
 
     def test_deterministic(self):
         wave = seeded_noise(4000, 9)
-        assert np.array_equal(fe.plp(wave, CFG).data, fe.plp(wave, CFG).data)
-
-
-class TestFeatureConfig:
-    def test_inverted_band_rejected(self):
-        with pytest.raises(ValueError, match="low_freq"):
-            fe.FeatureConfig(low_freq=8000.0, high_freq=7600.0)
-
-    def test_fewer_filters_than_coeffs_rejected(self):
-        with pytest.raises(ValueError, match="num_filters"):
-            fe.FeatureConfig(num_filters=20, num_plp_coeffs=30)
-
-    def test_shift_longer_than_frame_rejected(self):
-        with pytest.raises(ValueError, match="frame_shift"):
-            fe.FeatureConfig(frame_length=0.010, frame_shift=0.025)
-
-    def test_high_freq_above_nyquist_rejected_at_use(self):
-        cfg = fe.FeatureConfig(high_freq=9000.0)
-        with pytest.raises(ValueError, match="Nyquist"):
-            fe.fbank(fe.Waveform(np.zeros(1000)), cfg)
+        assert np.array_equal(fe.plp(wave).data, fe.plp(wave).data)
 
 
 def levinson_ref(r, order):
@@ -163,13 +145,13 @@ def lpc_to_cepstrum_ref(a, err, num_ceps):
     return c
 
 
-def plp_ref(wave, cfg):
+def plp_ref(wave):
     """PLP with linear prediction and cepstra computed one frame at a time."""
-    energies, centers_hz = fe._mel_energies(wave, cfg)
+    energies, centers_hz = fe._mel_energies(wave)
     compressed = (np.maximum(energies, fe.ENERGY_FLOOR) * fe._equal_loudness(centers_hz)) ** (1 / 3)
     spectrum = np.concatenate([compressed, compressed[:, -2:0:-1]], axis=1)
     autocorr = np.fft.ifft(spectrum, axis=1).real
-    order = cfg.num_plp_coeffs
+    order = fe.NUM_PLP_COEFFS
     return np.array([lpc_to_cepstrum_ref(*levinson_ref(r[: order + 1], order), order)
                      for r in autocorr])
 
@@ -178,8 +160,8 @@ class TestLevinson:
     @pytest.mark.parametrize("wave", [seeded_noise(16000, 3), tone(440.0, amp=0.3)],
                              ids=["noise", "tone"])
     def test_batched_plp_matches_per_frame_reference(self, wave):
-        got = fe.plp(wave, CFG).data
-        ref = plp_ref(wave, CFG)
+        got = fe.plp(wave).data
+        ref = plp_ref(wave)
         # summation order differs from the scalar loops, so coefficients far
         # below the row scale carry absolute, not relative, rounding error
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
@@ -245,19 +227,19 @@ class TestStmn:
         assert fe.stmn(fe.FeatureMatrix(x, 0.010), 1.0).data.shape == x.shape
 
 
-def vad_oracle(wave, cfg):
+def vad_oracle(wave):
     """Independent re-statement of the threshold + majority-vote rule."""
-    frame = int(round(cfg.frame_length * wave.sample_rate))
-    shift = int(round(cfg.frame_shift * wave.sample_rate))
+    frame = int(round(fe.FRAME_LENGTH * wave.sample_rate))
+    shift = int(round(fe.FRAME_SHIFT * wave.sample_rate))
     n = fe.frame_count(len(wave.samples), frame, shift)
     log_e = []
     for t in range(n):
         seg = wave.samples[t * shift : t * shift + frame]
         log_e.append(np.log(max(float(np.sum(seg * seg)), fe.ENERGY_FLOOR)))
     log_e = np.array(log_e)
-    thr = log_e.mean() + cfg.vad_energy_mean_scale * log_e.std()
+    thr = log_e.mean() + fe.VAD_ENERGY_MEAN_SCALE * log_e.std()
     raw = log_e >= thr
-    half = cfg.vad_context // 2
+    half = fe.VAD_CONTEXT // 2
     out = []
     for t in range(n):
         window = raw[max(t - half, 0) : min(t + half + 1, n)]
@@ -271,8 +253,8 @@ class TestEnergyVad:
         sig = np.zeros(rate)
         sig[rate // 2 :] = tone(800.0, 0.5).samples
         wave = fe.Waveform(sig)
-        mask = fe.energy_vad(wave, CFG)
-        assert np.array_equal(mask, vad_oracle(wave, CFG))
+        mask = fe.energy_vad(wave)
+        assert np.array_equal(mask, vad_oracle(wave))
         # frames fully inside the tone are speech; frames far inside the
         # silent half (3+ frames from the boundary) are not
         boundary = (rate // 2) // 160
@@ -280,19 +262,19 @@ class TestEnergyVad:
         assert not mask[: boundary - 3].any()
 
     def test_constant_energy_all_speech(self):
-        assert fe.energy_vad(fe.Waveform(np.full(8000, 0.25)), CFG).all()
+        assert fe.energy_vad(fe.Waveform(np.full(8000, 0.25))).all()
 
     def test_matches_oracle_on_random_input(self):
         for seed in range(5):
             wave = seeded_noise(12000, seed)
-            assert np.array_equal(fe.energy_vad(wave, CFG), vad_oracle(wave, CFG))
+            assert np.array_equal(fe.energy_vad(wave), vad_oracle(wave))
 
     def test_gain_invariance_exact(self):
         wave = seeded_noise(12000, 17)
-        base = fe.energy_vad(wave, CFG)
+        base = fe.energy_vad(wave)
         for gain in (0.037, 4.0, 256.0):
             scaled = fe.Waveform(wave.samples * gain)
-            assert np.array_equal(fe.energy_vad(scaled, CFG), base)
+            assert np.array_equal(fe.energy_vad(scaled), base)
 
 
 class TestApplyVad:
@@ -315,80 +297,6 @@ class TestApplyVad:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mask/feature mismatch"):
             fe.apply_vad(self.feats(3), np.ones(4, bool))
-
-
-class TestMixNoise:
-    def test_equal_power_zero_snr_unit_gain(self):
-        rng = np.random.default_rng(0)
-        sig = rng.standard_normal(4000)
-        noise = rng.standard_normal(4000)
-        noise *= np.sqrt(np.mean(sig**2) / np.mean(noise**2))
-        out = fe.mix_noise(fe.Waveform(sig), fe.Waveform(noise), 0.0)
-        np.testing.assert_allclose(out.samples, sig + noise, atol=1e-12)
-
-    def test_self_noise_doubles(self):
-        sig = seeded_noise(2000, 4)
-        out = fe.mix_noise(sig, sig, 0.0)
-        np.testing.assert_allclose(out.samples, 2.0 * sig.samples, atol=1e-12)
-
-    def test_40db_gain_is_hundredth(self):
-        rng = np.random.default_rng(8)
-        sig = rng.standard_normal(4000)
-        sig /= np.sqrt(np.mean(sig**2))
-        noise = rng.standard_normal(4000)
-        noise /= np.sqrt(np.mean(noise**2))
-        out = fe.mix_noise(fe.Waveform(sig), fe.Waveform(noise), 40.0)
-        np.testing.assert_allclose(out.samples - sig, 0.01 * noise, atol=1e-12)
-
-    def test_achieved_snr(self):
-        rng = np.random.default_rng(12)
-        sig = fe.Waveform(rng.standard_normal(3000))
-        noise = fe.Waveform(rng.standard_normal(1100) * 3.0)
-        for snr in (-10.0, 0.0, 5.0, 33.0):
-            out = fe.mix_noise(sig, noise, snr)
-            added = out.samples - sig.samples
-            snr_measured = 10.0 * np.log10(np.mean(sig.samples**2) / np.mean(added**2))
-            assert abs(snr_measured - snr) < 1e-9
-
-    def test_zero_power_rejected(self):
-        sig = seeded_noise(1000, 1)
-        with pytest.raises(ValueError, match="degenerate SNR"):
-            fe.mix_noise(sig, fe.Waveform(np.zeros(1000)), 10.0)
-        with pytest.raises(ValueError, match="degenerate SNR"):
-            fe.mix_noise(fe.Waveform(np.zeros(1000)), sig, 10.0)
-
-
-class TestReverberate:
-    def test_unit_impulse_identity(self):
-        wave = seeded_noise(500, 3)
-        out = fe.reverberate(wave, fe.Waveform(np.array([1.0])))
-        np.testing.assert_allclose(out.samples, wave.samples, atol=1e-12)
-
-    def test_delayed_impulse_shifts(self):
-        # peak early in the signal so peak matching keeps scale 1
-        sig = np.exp(-np.arange(300) / 40.0)
-        rir = np.zeros(8)
-        rir[5] = 1.0
-        out = fe.reverberate(fe.Waveform(sig), fe.Waveform(rir))
-        np.testing.assert_allclose(out.samples[5:], sig[:-5], atol=1e-12)
-        np.testing.assert_allclose(out.samples[:5], 0.0, atol=1e-12)
-
-    def test_matches_naive_convolution(self):
-        rng = np.random.default_rng(21)
-        sig = rng.standard_normal(64)
-        rir = rng.standard_normal(64)
-        out = fe.reverberate(fe.Waveform(sig), fe.Waveform(rir))
-        full = np.zeros(64)
-        for i in range(64):
-            for j in range(64):
-                if i + j < 64:
-                    full[i + j] += sig[i] * rir[j]
-        full *= np.max(np.abs(sig)) / np.max(np.abs(full))
-        np.testing.assert_allclose(out.samples, full, atol=1e-10)
-
-    def test_empty_rir_rejected(self):
-        with pytest.raises(ValueError, match="empty impulse response"):
-            fe.reverberate(seeded_noise(100, 0), fe.Waveform(np.zeros(0)))
 
 
 def pcm_wav_bytes(samples=b"\x01\x02" * 50, channels=1, width=2, rate=16000):

@@ -1,4 +1,4 @@
-"""Tests for trial parsing, EER, minimum DCF, and DET points."""
+"""Tests for trial parsing, EER and minimum DCF."""
 
 import numpy as np
 import pytest
@@ -29,10 +29,10 @@ def sweep_oracle(tar, non):
     return 100.0 * eer, points
 
 
-def dcf_oracle(tar, non, p_target, c_miss=1.0, c_fa=1.0):
+def dcf_oracle(tar, non, p_target):
     _, points = sweep_oracle(tar, non)
-    best = min(c_miss * p_target * m + c_fa * (1 - p_target) * f for m, f in points)
-    return best / min(c_miss * p_target, c_fa * (1 - p_target))
+    best = min(p_target * m + (1 - p_target) * f for m, f in points)
+    return best / min(p_target, 1 - p_target)
 
 
 def keyed(tar, non):
@@ -135,31 +135,6 @@ class TestMinDcf:
     def test_params_validated(self):
         with pytest.raises(ValueError):
             mt.DcfParams(p_target=0.0)
-        with pytest.raises(ValueError):
-            mt.DcfParams(c_miss=-1.0)
-
-
-class TestDetPoints:
-    def test_two_trial_corner_pattern(self):
-        scores, key = keyed(np.array([0.9]), np.array([0.1]))
-        points = mt.det_points(scores, key)
-        assert set(points) == {(0.0, 1.0), (0.0, 0.0), (1.0, 0.0)}
-
-    def test_monotone_staircase(self):
-        for seed in range(100):
-            rng = np.random.default_rng(seed)
-            scores, key = keyed(rng.standard_normal(20), rng.standard_normal(25))
-            points = mt.det_points(scores, key)
-            p_miss = [p for p, _ in points]
-            p_fa = [f for _, f in points]
-            assert all(a <= b for a, b in zip(p_miss, p_miss[1:]))
-            assert all(a >= b for a, b in zip(p_fa, p_fa[1:]))
-
-    def test_single_class_rejected(self):
-        scores = ScoreSet(["a"], ["b"], np.array([1.0]))
-        key = TrialList(["a"], ["b"], np.array([False]))
-        with pytest.raises(ValueError, match="single-class"):
-            mt.det_points(scores, key)
 
 
 class TestInvariances:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from svkit import nnet
+from svkit import nnet, tensorio
 
 MICRO_TDNN = nnet.TdnnSpec(
     "tdnn-custom", 3, 2,
@@ -366,30 +366,30 @@ class TestFloat32Path:
 class TestWeightFiles:
     def test_roundtrip_exact(self, tmp_path):
         w = nnet.init_weights(MICRO_TDNN, 4)
-        nnet.save_weights(w, tmp_path / "w.svw")
-        back = nnet.load_weights(tmp_path / "w.svw")
+        tensorio.write_tensors(tmp_path / "w.svw", w)
+        back = tensorio.read_tensors(tmp_path / "w.svw")
         assert back.keys() == w.keys()
         assert all(np.array_equal(back[k], w[k]) for k in w)
 
     def test_truncated_file(self, tmp_path):
         w = nnet.init_weights(MICRO_TDNN, 4)
         path = tmp_path / "w.svw"
-        nnet.save_weights(w, path)
+        tensorio.write_tensors(path, w)
         path.write_bytes(path.read_bytes()[:-7])
         with pytest.raises(ValueError, match="bad weight file"):
-            nnet.load_weights(path)
+            tensorio.read_tensors(path)
 
     def test_empty_store(self, tmp_path):
         path = tmp_path / "w.svw"
-        nnet.save_weights({}, path)
-        assert nnet.load_weights(path) == {}
+        tensorio.write_tensors(path, {})
+        assert tensorio.read_tensors(path) == {}
 
     def test_duplicate_tensor_name_rejected(self, tmp_path):
         record = struct.pack("<H", 1) + b"a" + struct.pack("<BI", 1, 1) + struct.pack("<f", 1.0)
         path = tmp_path / "w.svw"
         path.write_bytes(b"SVW1" + struct.pack("<I", 2) + record + record)
         with pytest.raises(ValueError, match="bad weight file: duplicate tensor 'a'"):
-            nnet.load_weights(path)
+            tensorio.read_tensors(path)
 
     def test_resnet_spec_validation(self):
         with pytest.raises(ValueError, match="embedding_dim"):

@@ -100,10 +100,9 @@ class TestGenToyCorpus:
         spec = sd.SynthSpec(seed=0, num_speakers=2, utts_per_speaker=3,
                             duration_s=1.0, resonances_hz=(500.0, 2000.0))
         waves, labels = sd.gen_toy_corpus(spec)
-        cfg = fe.FeatureConfig()
         mean_peak = {}
         for wave, spk in zip(waves, labels):
-            feats = fe.fbank(wave, cfg)
+            feats = fe.fbank(wave)
             mean_peak.setdefault(spk, []).append(feats.data.mean(axis=0).argmax())
         peaks0 = set(mean_peak["spk000"])
         peaks1 = set(mean_peak["spk001"])
