@@ -31,7 +31,7 @@ class FusionModel:
     offset: float
 
 
-def _check_aligned(scoresets: list[ScoreSet]) -> None:
+def _check_aligned(scoresets: list[ScoreSet | TrialList]) -> None:
     if not scoresets:
         raise ValueError("no score sets to fuse")
     for other in scoresets[1:]:
@@ -153,9 +153,7 @@ def calibrate_pipeline(scoresets: list[ScoreSet], key: TrialList) -> Calibration
     _check_aligned(scoresets)
     if key.labels is None:
         raise ValueError("key must be labeled")
-    bad = same_trials(scoresets[0], key)
-    if bad is not None:
-        raise ValueError(f"trial mismatch at: {bad[0]} {bad[1]}")
+    _check_aligned([scoresets[0], key])
     targets = key.labels
     system_models = [train_logreg(s.scores, targets) for s in scoresets]
     calibrated = [

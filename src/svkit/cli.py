@@ -7,6 +7,7 @@ with identical configuration and seeds produce byte-identical outputs.
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,23 @@ def _load_embeddings(path) -> dict[str, np.ndarray]:
     return {k: v.astype(np.float64) for k, v in tensorio.read_tensors(path).items()}
 
 
+def _inputs(directory, pattern: str, what: str) -> list[Path]:
+    """The files in ``directory`` matching ``pattern``, sorted; none is a data error."""
+    paths = sorted(Path(directory).glob(pattern))
+    if not paths:
+        raise ValueError(f"no {what} in {directory}")
+    return paths
+
+
+@contextmanager
+def _naming(path):
+    """Append ``path`` to a data error from the block; ``read_wav`` errors name it already."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{exc}: {path}") from None
+
+
 def cmd_synth(args) -> int:
     spec = synthdata.SynthSpec(
         seed=args.seed,
@@ -81,15 +99,14 @@ def cmd_feats(args) -> int:
     cfg = _load_pipeline_config(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    wavs = sorted(Path(args.wav_dir).glob("*.wav"))
-    if not wavs:
-        raise ValueError(f"no WAV files in {args.wav_dir}")
+    wavs = _inputs(args.wav_dir, "*.wav", "WAV files")
     extractor = frontend.fbank if args.feat == "fbank" else frontend.plp
     for path in wavs:
         wave = frontend.read_wav(path)
-        feats = extractor(wave)
-        if cfg.apply_stmn:
-            feats = frontend.stmn(feats)
+        with _naming(path):
+            feats = extractor(wave)
+            if cfg.apply_stmn:
+                feats = frontend.stmn(feats)
         tensorio.write_feature_matrix(out_dir / f"{path.stem}.feat", feats.data)
     print(f"extracted {args.feat} features for {len(wavs)} files", file=sys.stderr)
     return 0
@@ -98,11 +115,11 @@ def cmd_feats(args) -> int:
 def cmd_vad(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    wavs = sorted(Path(args.wav_dir).glob("*.wav"))
-    if not wavs:
-        raise ValueError(f"no WAV files in {args.wav_dir}")
+    wavs = _inputs(args.wav_dir, "*.wav", "WAV files")
     for path in wavs:
-        mask = frontend.energy_vad(frontend.read_wav(path))
+        wave = frontend.read_wav(path)
+        with _naming(path):
+            mask = frontend.energy_vad(wave)
         tensorio.write_feature_matrix(out_dir / f"{path.stem}.vad", mask[:, None].astype(np.float32))
     print(f"computed VAD for {len(wavs)} files", file=sys.stderr)
     return 0
@@ -110,10 +127,9 @@ def cmd_vad(args) -> int:
 
 def cmd_embed(args) -> int:
     cfg = _load_pipeline_config(args)
-    feat_paths = sorted(Path(args.feats_dir).glob("*.feat"))
-    if not feat_paths:
-        raise ValueError(f"no feature files in {args.feats_dir}")
-    dim = tensorio.read_feature_matrix(feat_paths[0]).shape[1]
+    feat_paths = _inputs(args.feats_dir, "*.feat", "feature files")
+    with _naming(feat_paths[0]):
+        dim = tensorio.read_feature_matrix(feat_paths[0]).shape[1]
     if args.weights:
         weights = tensorio.read_tensors(args.weights)
         spec = nnet.make_spec(args.arch, dim, nnet.num_classes_of(args.arch, weights),
@@ -124,11 +140,12 @@ def cmd_embed(args) -> int:
     net = nnet.prepare(spec, weights)
     out: dict[str, np.ndarray] = {}
     for path in feat_paths:
-        feats = frontend.FeatureMatrix(tensorio.read_feature_matrix(path), frontend.FRAME_SHIFT)
-        if args.vad_dir:
-            mask = tensorio.read_feature_matrix(Path(args.vad_dir) / f"{path.stem}.vad")
-            feats = frontend.apply_vad(feats, mask[:, 0] > 0.5)
-        out[path.stem] = nnet.forward(feats.data.astype(np.float32), net).astype(np.float32)
+        with _naming(path):
+            feats = frontend.FeatureMatrix(tensorio.read_feature_matrix(path))
+            if args.vad_dir:
+                mask = tensorio.read_feature_matrix(Path(args.vad_dir) / f"{path.stem}.vad")
+                feats = frontend.apply_vad(feats, mask[:, 0] > 0.5)
+            out[path.stem] = nnet.forward(feats.data.astype(np.float32), net).astype(np.float32)
     tensorio.write_tensors(args.out, out)
     print(f"embedded {len(out)} utterances with {args.arch}", file=sys.stderr)
     return 0

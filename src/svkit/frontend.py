@@ -25,19 +25,6 @@ STMN_WINDOW = 3.0  # seconds
 VAD_ENERGY_MEAN_SCALE = -0.5
 VAD_CONTEXT = 5  # frames, odd
 
-__all__ = [
-    "Waveform",
-    "FeatureMatrix",
-    "frame_count",
-    "fbank",
-    "plp",
-    "stmn",
-    "energy_vad",
-    "apply_vad",
-    "read_wav",
-    "write_wav",
-]
-
 
 @dataclass(frozen=True, eq=False)
 class Waveform:
@@ -53,30 +40,17 @@ class Waveform:
         if self.sample_rate <= 0:
             raise ValueError("invalid audio: nonpositive sample rate")
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
-    """Per-frame feature rows plus the frame shift they were cut with."""
+    """Per-frame feature rows, one every FRAME_SHIFT seconds."""
 
     data: np.ndarray
-    frame_shift: float
 
     def __post_init__(self):
         object.__setattr__(self, "data", np.asarray(self.data, dtype=np.float64))
         if self.data.ndim != 2:
             raise ValueError("feature matrix must be 2-D")
-
-    @property
-    def num_frames(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
 
 
 def frame_count(num_samples: int, frame_samples: int, shift_samples: int) -> int:
@@ -86,24 +60,16 @@ def frame_count(num_samples: int, frame_samples: int, shift_samples: int) -> int
     return 1 + (num_samples - frame_samples) // shift_samples
 
 
-def _check_wave(wave: Waveform) -> np.ndarray:
+def _frames(wave: Waveform) -> np.ndarray:
+    """The wave cut into FRAME_LENGTH frames every FRAME_SHIFT, one per row."""
     x = wave.samples
     if x.size == 0 or not np.all(np.isfinite(x)):
         raise ValueError("invalid audio: empty or non-finite samples")
     if HIGH_FREQ > wave.sample_rate / 2:
         raise ValueError(f"invalid audio: sample rate {wave.sample_rate} Hz, need at least "
                          f"{2 * HIGH_FREQ:g} Hz for the {HIGH_FREQ:g} Hz filterbank edge")
-    return x
-
-
-def _frame_sizes(sample_rate: int) -> tuple[int, int]:
-    return (
-        int(round(FRAME_LENGTH * sample_rate)),
-        int(round(FRAME_SHIFT * sample_rate)),
-    )
-
-
-def _frame_matrix(x: np.ndarray, frame_samples: int, shift_samples: int) -> np.ndarray:
+    frame_samples = int(round(FRAME_LENGTH * wave.sample_rate))
+    shift_samples = int(round(FRAME_SHIFT * wave.sample_rate))
     n = frame_count(len(x), frame_samples, shift_samples)
     idx = shift_samples * np.arange(n)[:, None] + np.arange(frame_samples)[None, :]
     return x[idx]
@@ -148,11 +114,9 @@ def _mel_filterbank(sample_rate: int, nfft: int):
 
 
 def _mel_energies(wave: Waveform):
-    x = _check_wave(wave)
-    frame_samples, shift_samples = _frame_sizes(wave.sample_rate)
-    frames = _frame_matrix(x, frame_samples, shift_samples)
+    frames = _frames(wave)
     power = _power_spectrum(frames)
-    fb, centers_hz = _mel_filterbank(wave.sample_rate, _next_pow2(frame_samples))
+    fb, centers_hz = _mel_filterbank(wave.sample_rate, _next_pow2(frames.shape[1]))
     return power @ fb.T, centers_hz
 
 
@@ -160,7 +124,7 @@ def fbank(wave: Waveform) -> FeatureMatrix:
     """Log mel-filterbank energies, one row per frame."""
     energies, _ = _mel_energies(wave)
     feats = np.log(np.maximum(energies, ENERGY_FLOOR))
-    return FeatureMatrix(feats, FRAME_SHIFT)
+    return FeatureMatrix(feats)
 
 
 def _equal_loudness(freq_hz: np.ndarray) -> np.ndarray:
@@ -220,7 +184,7 @@ def plp(wave: Waveform) -> FeatureMatrix:
     autocorr = np.fft.ifft(spectrum, axis=1).real
     a, err = _levinson(autocorr[:, : NUM_PLP_COEFFS + 1], NUM_PLP_COEFFS)
     feats = _lpc_to_cepstrum(a, err, NUM_PLP_COEFFS)
-    return FeatureMatrix(feats, FRAME_SHIFT)
+    return FeatureMatrix(feats)
 
 
 def stmn(feats: FeatureMatrix, window_s: float = STMN_WINDOW) -> FeatureMatrix:
@@ -236,7 +200,7 @@ def stmn(feats: FeatureMatrix, window_s: float = STMN_WINDOW) -> FeatureMatrix:
     n = data.shape[0]
     if n == 0:
         return feats
-    w = max(int(round(window_s / feats.frame_shift)), 1)
+    w = max(int(round(window_s / FRAME_SHIFT)), 1)
     t = np.arange(n)
     start = np.maximum(t - w // 2, 0)
     stop = np.minimum(t + (w - 1 - w // 2), n - 1)
@@ -244,14 +208,7 @@ def stmn(feats: FeatureMatrix, window_s: float = STMN_WINDOW) -> FeatureMatrix:
     shifted = data - data[0]
     csum = np.vstack([np.zeros((1, data.shape[1])), np.cumsum(shifted, axis=0)])
     means = (csum[stop + 1] - csum[start]) / (stop - start + 1)[:, None]
-    return FeatureMatrix(shifted - means, feats.frame_shift)
-
-
-def _frame_log_energy(wave: Waveform) -> np.ndarray:
-    x = _check_wave(wave)
-    frame_samples, shift_samples = _frame_sizes(wave.sample_rate)
-    frames = _frame_matrix(x, frame_samples, shift_samples)
-    return np.log(np.maximum(np.sum(frames * frames, axis=1), ENERGY_FLOOR))
+    return FeatureMatrix(shifted - means)
 
 
 def energy_vad(wave: Waveform) -> np.ndarray:
@@ -262,7 +219,8 @@ def energy_vad(wave: Waveform) -> np.ndarray:
     VAD_CONTEXT centered frames. Ties (threshold and vote) resolve to speech, which
     keeps the rule gain-invariant and total-silence-safe.
     """
-    log_e = _frame_log_energy(wave)
+    frames = _frames(wave)
+    log_e = np.log(np.maximum(np.sum(frames * frames, axis=1), ENERGY_FLOOR))
     threshold = np.mean(log_e) + VAD_ENERGY_MEAN_SCALE * np.std(log_e)
     raw = log_e >= threshold
     half = VAD_CONTEXT // 2
@@ -277,11 +235,11 @@ def energy_vad(wave: Waveform) -> np.ndarray:
 def apply_vad(feats: FeatureMatrix, mask: np.ndarray) -> FeatureMatrix:
     """Drop frames where the mask is false, preserving order."""
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (feats.num_frames,):
+    if mask.shape != (len(feats.data),):
         raise ValueError("mask/feature mismatch")
     if not mask.any():
         raise ValueError("no speech: VAD removed every frame")
-    return FeatureMatrix(feats.data[mask], feats.frame_shift)
+    return FeatureMatrix(feats.data[mask])
 
 
 def read_wav(path) -> Waveform:

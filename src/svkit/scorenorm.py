@@ -12,7 +12,7 @@ import numpy as np
 
 from .backend import (Backend, _score_prepped, length_normalize, preprocess, preprocess_by_id,
                       score_pair)
-from .trials import ScoreSet, TrialList
+from .trials import ScoreSet, TrialList, same_trials
 
 SIGMA_FLOOR = 1e-12
 
@@ -73,9 +73,10 @@ def snorm_scores(backend: Backend, embeddings_by_id, trials: TrialList,
     Cohort scores are raw backend scores; each utterance is preprocessed
     once, and its cohort vector is computed once and reused across trials.
     """
+    bad = None if raw is None else same_trials(trials, raw)
+    if bad is not None:
+        raise ValueError(f"raw scores do not match the trial list at: {bad[0]} {bad[1]}")
     pairs = trials.pairs()
-    if raw is not None and raw.pairs() != pairs:
-        raise ValueError("raw scores do not match the trial list")
     prepped = preprocess_by_id(backend, embeddings_by_id, (u for pair in pairs for u in pair))
     if raw is None:
         raw = _score_prepped(backend, prepped, trials)

@@ -66,9 +66,9 @@ def read_tensors(path) -> dict[str, np.ndarray]:
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", data, offset)
             offset += 2
-            name = data[offset : offset + name_len].decode("utf-8")
             if len(data) < offset + name_len:
                 raise struct.error("short read")
+            name = data[offset : offset + name_len].decode("utf-8")
             offset += name_len
             if name in out:
                 raise ValueError(f"bad weight file: duplicate tensor {name!r}")
@@ -85,6 +85,8 @@ def read_tensors(path) -> dict[str, np.ndarray]:
             offset = end
     except struct.error as exc:
         raise ValueError("bad weight file: truncated record") from exc
+    except UnicodeDecodeError:
+        raise ValueError("bad weight file: tensor name is not UTF-8") from None
     if offset != len(data):
         raise ValueError("bad weight file: trailing bytes")
     return out

@@ -12,20 +12,15 @@ import numpy as np
 
 
 @dataclass(eq=False)
-class TrialList:
-    """Ordered (enroll, test) pairs, optionally labeled (True = target)."""
+class _PairList:
+    """Ordered, distinct (enroll, test) pairs."""
 
     enroll: list[str]
     test: list[str]
-    labels: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.enroll) != len(self.test):
             raise ValueError("enroll/test id lists differ in length")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=bool)
-            if self.labels.shape != (len(self.enroll),):
-                raise ValueError("labels must align with trials")
         seen = set()
         for pair in zip(self.enroll, self.test):
             if pair in seen:
@@ -40,43 +35,45 @@ class TrialList:
 
 
 @dataclass(eq=False)
-class ScoreSet:
+class TrialList(_PairList):
+    """Ordered (enroll, test) pairs, optionally labeled (True = target)."""
+
+    labels: np.ndarray | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.labels is not None:
+            self.labels = np.asarray(self.labels, dtype=bool)
+            if self.labels.shape != (len(self.enroll),):
+                raise ValueError("labels must align with trials")
+
+
+@dataclass(eq=False)
+class ScoreSet(_PairList):
     """One score per (enroll, test) trial, in trial order."""
 
-    enroll: list[str]
-    test: list[str]
     scores: np.ndarray
 
     def __post_init__(self):
+        super().__post_init__()
         self.scores = np.asarray(self.scores, dtype=np.float64)
-        if len(self.enroll) != len(self.test) or self.scores.shape != (len(self.enroll),):
+        if self.scores.shape != (len(self.enroll),):
             raise ValueError("score set fields differ in length")
         if self.scores.size and not np.all(np.isfinite(self.scores)):
             raise ValueError("non-finite score")
-        seen = set()
-        for pair in zip(self.enroll, self.test):
-            if pair in seen:
-                raise ValueError(f"duplicate trial: {pair[0]} {pair[1]}")
-            seen.add(pair)
-
-    def __len__(self) -> int:
-        return len(self.enroll)
-
-    def pairs(self) -> list[tuple[str, str]]:
-        return list(zip(self.enroll, self.test))
 
     def with_scores(self, scores) -> "ScoreSet":
         return ScoreSet(list(self.enroll), list(self.test), scores)
 
 
-def same_trials(a, b) -> tuple[str, str] | None:
+def same_trials(a: _PairList, b: _PairList) -> tuple[str, str] | None:
     """First trial where the two lists disagree, or None when identical."""
-    if len(a) != len(b):
-        n = min(len(a), len(b))
-        return (a.enroll[n], a.test[n]) if len(a) > len(b) else (b.enroll[n], b.test[n])
     for ea, ta, eb, tb in zip(a.enroll, a.test, b.enroll, b.test):
         if ea != eb or ta != tb:
             return (ea, ta)
+    if len(a) != len(b):
+        n = min(len(a), len(b))
+        return (a.enroll[n], a.test[n]) if len(a) > len(b) else (b.enroll[n], b.test[n])
     return None
 
 

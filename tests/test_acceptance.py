@@ -316,7 +316,7 @@ def test_c11_features():
     centers = 700 * (10 ** (edges[1:-1] / 2595) - 1)
     assert out.data.mean(axis=0).argmax() == np.argmin(np.abs(centers - 1000.0))
 
-    const = fe.FeatureMatrix(np.full((120, 7), 3.3), 0.010)
+    const = fe.FeatureMatrix(np.full((120, 7), 3.3))
     assert np.all(fe.stmn(const, 3.0).data == 0.0)
 
     wave = fe.Waveform(np.random.default_rng(17).standard_normal(12000) * 0.1)

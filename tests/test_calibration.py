@@ -187,3 +187,10 @@ class TestCalibratePipeline:
         with pytest.raises(ValueError, match="labeled"):
             cal.calibrate_pipeline([sset], TrialList(list(key.enroll), list(key.test)))
 
+    def test_key_mismatch_names_offender(self):
+        sset, key = llr_scores(11, 20, 20)
+        enroll = list(key.enroll)
+        enroll[1] = "other"
+        with pytest.raises(ValueError, match="^trial mismatch at: xe1 xt1$"):
+            cal.calibrate_pipeline([sset], TrialList(enroll, list(key.test), key.labels))
+

@@ -389,6 +389,23 @@ class TestPipelineChain:
             assert err.count("\n") == 1
             assert not list((tmp_path / command).iterdir())
 
+    @pytest.mark.parametrize("write", [
+        lambda path: frontend.write_wav(path, frontend.Waveform(np.zeros(0))),
+        lambda path: frontend.write_wav(path, frontend.Waveform(np.zeros(8000), 8000)),
+        lambda path: path.write_bytes(b"\x00" * 16),  # read_wav's own error names the path
+    ], ids=["empty", "8kHz", "junk"])
+    def test_rejected_audio_names_its_file_once(self, tmp_path, capsys, write):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        frontend.write_wav(corpus / "a_good.wav", frontend.Waveform(np.zeros(8000)))
+        write(corpus / "b_bad.wav")
+        for command in ("feats", "vad"):
+            assert cli.main([command, "--wav-dir", str(corpus),
+                             "--out-dir", str(tmp_path / command)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid audio: ") and err.count("\n") == 1
+            assert err.count(str(corpus / "b_bad.wav")) == 1 and "a_good" not in err
+
 
 class TestEmbedCommand:
     @pytest.mark.parametrize("arch", ["resnet34", "tdnn-standard"])
@@ -447,6 +464,25 @@ class TestEmbedCommand:
                          "--weights", str(tmp_path / "partial.svw"), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: weights mismatch: missing=['{classifier}'] extra=[]\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad, message", [
+        ("u1", "too few frames: need at least 8"),
+        ("u0", "bad feature file: truncated payload"),  # the file the input dim is read from
+    ])
+    def test_rejected_features_name_their_file(self, tmp_path, capsys, bad, message):
+        from svkit import tensorio
+
+        feats = tmp_path / "feats"
+        feats.mkdir()
+        tensorio.write_feature_matrix(feats / "u0.feat", np.zeros((20, 40)))
+        tensorio.write_feature_matrix(feats / "u1.feat", np.zeros((5, 40)))
+        if bad == "u0":
+            (feats / "u0.feat").write_bytes((feats / "u0.feat").read_bytes()[:-4])
+        out = tmp_path / "emb.svw"
+        assert cli.main(["embed", "--feats-dir", str(feats), "--arch", "resnet34",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}: {feats / bad}.feat\n"
         assert not out.exists()
 
 

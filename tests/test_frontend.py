@@ -197,19 +197,19 @@ class TestLevinson:
 
 class TestStmn:
     def test_constant_matrix_maps_to_exact_zero(self):
-        feats = fe.FeatureMatrix(np.full((120, 7), 3.3), 0.010)
+        feats = fe.FeatureMatrix(np.full((120, 7), 3.3))
         assert np.all(fe.stmn(feats, 3.0).data == 0.0)
 
     def test_short_utterance_is_global_mean_subtraction(self):
         x = np.random.default_rng(1).standard_normal((100, 8))
-        out = fe.stmn(fe.FeatureMatrix(x, 0.010), 3.0).data
+        out = fe.stmn(fe.FeatureMatrix(x), 3.0).data
         np.testing.assert_allclose(out, x - x.mean(axis=0), atol=1e-12)
         # the windowed (here: global) mean of the output is ~0
         assert np.abs(out.mean(axis=0)).max() < 1e-9
 
     def test_matches_sliding_mean_oracle(self):
         x = np.random.default_rng(2).standard_normal((400, 40))
-        out = fe.stmn(fe.FeatureMatrix(x, 0.010), 3.0).data
+        out = fe.stmn(fe.FeatureMatrix(x), 3.0).data
         w = round(3.0 / 0.010)
         expected = np.empty_like(x)
         for t in range(x.shape[0]):
@@ -219,12 +219,12 @@ class TestStmn:
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_empty_input_passes_through(self):
-        feats = fe.FeatureMatrix(np.zeros((0, 5)), 0.010)
+        feats = fe.FeatureMatrix(np.zeros((0, 5)))
         assert fe.stmn(feats, 3.0).data.shape == (0, 5)
 
     def test_shape_preserved(self):
         x = np.random.default_rng(3).standard_normal((37, 13))
-        assert fe.stmn(fe.FeatureMatrix(x, 0.010), 1.0).data.shape == x.shape
+        assert fe.stmn(fe.FeatureMatrix(x), 1.0).data.shape == x.shape
 
 
 def vad_oracle(wave):
@@ -279,7 +279,7 @@ class TestEnergyVad:
 
 class TestApplyVad:
     def feats(self, rows):
-        return fe.FeatureMatrix(np.arange(rows * 3, dtype=float).reshape(rows, 3), 0.01)
+        return fe.FeatureMatrix(np.arange(rows * 3, dtype=float).reshape(rows, 3))
 
     def test_all_true_is_identity(self):
         f = self.feats(4)

@@ -391,6 +391,13 @@ class TestWeightFiles:
         with pytest.raises(ValueError, match="bad weight file: duplicate tensor 'a'"):
             tensorio.read_tensors(path)
 
+    def test_non_utf8_tensor_name_rejected(self, tmp_path):
+        record = struct.pack("<H", 1) + b"\xff" + struct.pack("<BI", 1, 1) + struct.pack("<f", 1.0)
+        path = tmp_path / "w.svw"
+        path.write_bytes(b"SVW1" + struct.pack("<I", 1) + record)
+        with pytest.raises(ValueError, match="^bad weight file: tensor name is not UTF-8$"):
+            tensorio.read_tensors(path)
+
     def test_resnet_spec_validation(self):
         with pytest.raises(ValueError, match="embedding_dim"):
             nnet.resnet_spec(4, embedding_dim=100)

@@ -180,3 +180,13 @@ class TestSnormScores:
         wrong = ScoreSet(["u000000"], ["u000001"], np.array([0.5]))
         with pytest.raises(ValueError, match="do not match"):
             sn.snorm_scores(backend, by_id, trials, cohort, raw=wrong)
+
+    def test_mismatched_raw_names_first_differing_trial(self):
+        backend, cohort, by_id, trials = self.setup_state()
+        raw = bk.score_trials(backend, by_id, trials)
+        test = list(raw.test)
+        test[3], test[5] = "x", "y"
+        wrong = ScoreSet(list(raw.enroll), test, raw.scores)
+        e, t = trials.pairs()[3]
+        with pytest.raises(ValueError, match=f"^raw scores do not match the trial list at: {e} {t}$"):
+            sn.snorm_scores(backend, by_id, trials, cohort, raw=wrong)

@@ -82,3 +82,9 @@ class TestSameTrials:
         a = tr.ScoreSet(["a", "c"], ["b", "d"], np.zeros(2))
         b = tr.ScoreSet(["a"], ["b"], np.zeros(1))
         assert tr.same_trials(a, b) == ("c", "d")
+
+    def test_divergence_before_length_difference_reported(self):
+        a = tr.ScoreSet(["a", "c"], ["b", "d"], np.zeros(2))
+        b = tr.ScoreSet(["x"], ["y"], np.zeros(1))
+        assert tr.same_trials(a, b) == ("a", "b")
+        assert tr.same_trials(b, a) == ("x", "y")
