@@ -4,7 +4,11 @@ two-subspace PLDA trained by EM, and cosine scoring.
 The PLDA model is x = mu + V h + U w + eps with a per-speaker factor h,
 a per-utterance factor w, and diagonal residual variance psi. Pairs are
 scored with the two-covariance likelihood ratio using between-class
-covariance V V^T and within-class covariance U U^T + diag(psi).
+covariance V V^T and within-class covariance U U^T + diag(psi). The ratio
+is computed in the r-dimensional speaker subspace where V^T Sigma_w^-1 V
+is diagonal (Brummer & de Villiers, "The speaker partitioning problem",
+Odyssey 2010): all d - r other directions cancel, so a pair costs two
+r x d matrix-vector products once the model is factored (``PldaModel.scorer``).
 
 EM integrates w out (within-class covariance Sigma_w = U U^T + psi) and
 needs one Cholesky of Sigma_w and one eigendecomposition of
@@ -66,32 +70,44 @@ class PldaModel:
         return len(self.mu)
 
     @functools.cached_property
-    def scorer(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """``(quad, h, const)`` of the two-covariance log-likelihood ratio, from one
-        Cholesky factor each of the within, total and sum-channel covariances.
-        A model that is not positive definite raises ValueError at first use."""
+    def scorer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """``(plus, plus_mu, minus, const)`` of the two-covariance log-likelihood
+        ratio, in the speaker subspace where V^T Sigma_w^-1 V = Q diag(lambda) Q^T.
+
+        With y = P (x - mu) and P = (Sigma_w^-1 V Q)^T (r x d), a pair scores
+        alpha . (y_a^2 + y_b^2) + beta . (y_a y_b) + const, where
+        alpha = 1/(2 (1 + 2 lambda)) - 1/(2 (1 + lambda)), beta = 1/(1 + 2 lambda)
+        and const = sum log(1 + lambda) - 1/2 sum log(1 + 2 lambda). In sums and
+        differences that is |g+ (y_a + y_b)|^2 - |g- (y_a - y_b)|^2 + const with
+        g+ = 1/(2 sqrt((1 + lambda)(1 + 2 lambda))) and g- = 1/(2 sqrt(1 + lambda)),
+        so ``plus`` and ``minus`` are the rows of P scaled by g+ and g-, and
+        ``plus_mu`` = 2 plus mu. Directions with lambda = 0 have P = 0 and add
+        nothing. A model whose within covariance is not positive definite
+        raises ValueError at first use."""
         if np.any(self.psi <= 0.0):
             raise ValueError("within covariance not positive definite")
-        between = self.V @ self.V.T
-        within = self.U @ self.U.T + np.diag(self.psi)
-        total = between + within
-        within_inv, within_logdet = _inverse_logdet(within, "within covariance")
-        total_inv, total_logdet = _inverse_logdet(total, "total covariance")
-        # covariance of the shared-factor sum channel
-        sum_inv, sum_logdet = _inverse_logdet(total + between, "sum-channel covariance")
-        quad = 0.5 * (total_inv - 0.5 * (sum_inv + within_inv))
-        h = 0.5 * (sum_inv - within_inv)
-        return quad, h, total_logdet - 0.5 * sum_logdet - 0.5 * within_logdet
+        try:
+            cho = scipy.linalg.cho_factor(self.U @ self.U.T + np.diag(self.psi))
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("within covariance not positive definite") from exc
+        sw_v = scipy.linalg.cho_solve(cho, self.V)  # Sigma_w^-1 V
+        lam, q = scipy.linalg.eigh(self.V.T @ sw_v)
+        lam = np.maximum(lam, 0.0)
+        g_plus = 0.5 / np.sqrt((1.0 + lam) * (1.0 + 2.0 * lam))
+        g_minus = 0.5 / np.sqrt(1.0 + lam)
+        plus = np.ascontiguousarray((sw_v @ (q * g_plus)).T)
+        minus = np.ascontiguousarray((sw_v @ (q * g_minus)).T)
+        const = float(np.sum(np.log1p(lam)) - 0.5 * np.sum(np.log1p(2.0 * lam)))
+        return plus, 2.0 * plus.dot(self.mu), minus, const
 
 
-def _inverse_logdet(mat: np.ndarray, what: str) -> tuple[np.ndarray, float]:
-    """Inverse and log-determinant of a symmetric matrix from one Cholesky factor."""
+def _inverse(mat: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of a symmetric matrix from one Cholesky factor."""
     try:
         cho = scipy.linalg.cho_factor(mat)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"{what} not positive definite") from exc
-    inv = scipy.linalg.cho_solve(cho, np.eye(len(mat)))
-    return inv, 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
+    return scipy.linalg.cho_solve(cho, np.eye(len(mat)))
 
 
 def estimate_center(embeddings: np.ndarray) -> np.ndarray:
@@ -191,7 +207,7 @@ def train_plda(embeddings: np.ndarray, labels, cfg: BackendConfig = BackendConfi
     trace = np.zeros(cfg.em_iters)
     for it in range(cfg.em_iters):
         ut_lam = u.T / psi
-        cov_w = _inverse_logdet(np.eye(rc) + ut_lam @ u, "w-posterior precision")[0]
+        cov_w = _inverse(np.eye(rc) + ut_lam @ u, "w-posterior precision")
         gain = cov_w @ ut_lam  # K, (rc, d)
         cho = scipy.linalg.cho_factor(u @ u.T + np.diag(psi))
         sw_v = scipy.linalg.cho_solve(cho, v)  # Sigma_w^-1 V
@@ -233,10 +249,12 @@ def train_plda(embeddings: np.ndarray, labels, cfg: BackendConfig = BackendConfi
 
 def plda_llr(model: PldaModel, enroll: np.ndarray, test: np.ndarray) -> float:
     """Log-likelihood ratio of same speaker versus different speakers."""
-    quad, h, const = model.scorer
-    a = np.asarray(enroll, dtype=np.float64) - model.mu
-    b = np.asarray(test, dtype=np.float64) - model.mu
-    return float(a @ quad @ a + b @ quad @ b - a @ h @ b + const)
+    plus, plus_mu, minus, const = model.scorer
+    a = np.asarray(enroll, dtype=np.float64)
+    b = np.asarray(test, dtype=np.float64)
+    s = plus.dot(a + b) - plus_mu
+    t = minus.dot(a - b)
+    return float(s.dot(s) - t.dot(t) + const)
 
 
 @dataclass(frozen=True, eq=False)

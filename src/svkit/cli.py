@@ -142,9 +142,12 @@ def cmd_embed(args) -> int:
     for path in feat_paths:
         with _naming(path):
             feats = frontend.FeatureMatrix(tensorio.read_feature_matrix(path))
-            if args.vad_dir:
-                mask = tensorio.read_feature_matrix(Path(args.vad_dir) / f"{path.stem}.vad")
-                feats = frontend.apply_vad(feats, mask[:, 0] > 0.5)
+        if args.vad_dir:
+            vad_path = Path(args.vad_dir) / f"{path.stem}.vad"
+            with _naming(vad_path):  # a mask that does not fit is the mask's fault
+                mask = tensorio.read_feature_matrix(vad_path).ravel() > 0.5
+                feats = frontend.apply_vad(feats, mask)
+        with _naming(path):
             out[path.stem] = nnet.forward(feats.data.astype(np.float32), net).astype(np.float32)
     tensorio.write_tensors(args.out, out)
     print(f"embedded {len(out)} utterances with {args.arch}", file=sys.stderr)

@@ -6,6 +6,7 @@ scores are averaged. Cohort members are per-speaker means of embeddings
 preprocessed exactly like trial embeddings.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +60,11 @@ def adapt_snorm(raw: float, enroll_scores: np.ndarray, test_scores: np.ndarray,
         if scores.ndim != 1 or len(scores) < 2:
             raise ValueError("cohort score vector must have length >= 2")
         top = np.sort(scores)[::-1][: min(cfg.top_x, len(scores))]
-        mu = float(np.mean(top))
-        sigma = max(float(np.std(top)), SIGMA_FLOOR)
-        out += 0.5 * (raw - mu) / sigma
+        # the reductions np.mean and np.std make, without their dispatch
+        mu = np.add.reduce(top) / len(top)
+        dev = top - mu
+        sigma = max(math.sqrt(np.add.reduce(dev * dev) / len(top)), SIGMA_FLOOR)
+        out += 0.5 * (raw - float(mu)) / sigma
     return out
 
 

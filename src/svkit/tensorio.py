@@ -5,6 +5,7 @@ SVW1: magic, u32 tensor count, then per tensor u16 name length, name bytes,
 u8 rank, rank x u32 dims, row-major little-endian float32 data.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -76,12 +77,11 @@ def read_tensors(path) -> dict[str, np.ndarray]:
             offset += 1
             dims = struct.unpack_from(f"<{rank}I", data, offset) if rank else ()
             offset += 4 * rank
-            size = int(np.prod(dims, dtype=np.int64)) if rank else 1
+            size = math.prod(dims)
             end = offset + 4 * size
             if end > len(data):
                 raise struct.error("short read")
-            arr = np.frombuffer(data[offset:end], dtype="<f4").reshape(dims)
-            out[name] = arr.astype(np.float32)
+            out[name] = np.frombuffer(data, "<f4", size, offset).reshape(dims).copy()
             offset = end
     except struct.error as exc:
         raise ValueError("bad weight file: truncated record") from exc

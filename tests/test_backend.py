@@ -394,6 +394,61 @@ class TestPldaLlr:
             assert abs(bk.plda_llr(model, a, b) - expected) < 1e-9
 
 
+def dense_scorer(model):
+    """``(quad, h, const)`` of the two-covariance LLR from the inverses of the
+    within, total and sum-channel covariances (d x d each)."""
+
+    def inverse_logdet(mat):
+        cho = scipy.linalg.cho_factor(mat)
+        inv = scipy.linalg.cho_solve(cho, np.eye(len(mat)))
+        return inv, 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
+
+    between = model.V @ model.V.T
+    within = model.U @ model.U.T + np.diag(model.psi)
+    total = between + within
+    within_inv, within_logdet = inverse_logdet(within)
+    total_inv, total_logdet = inverse_logdet(total)
+    sum_inv, sum_logdet = inverse_logdet(total + between)
+    quad = 0.5 * (total_inv - 0.5 * (sum_inv + within_inv))
+    h = 0.5 * (sum_inv - within_inv)
+    return quad, h, total_logdet - 0.5 * sum_logdet - 0.5 * within_logdet
+
+
+class TestSubspaceScorer:
+    """The speaker-subspace scorer against the dense three-inverse form."""
+
+    @pytest.mark.parametrize("d, r, pairs, repeated", [
+        (128, 32, 200, False),
+        (48, 48, 200, False),  # full rank: r = d
+        (64, 16, 200, True),  # a repeated column of V, so one lambda is 0
+        (512, 312, 4, False),  # the paper's operating point
+    ])
+    def test_matches_dense_three_inverse_scorer(self, d, r, pairs, repeated):
+        gen = np.random.default_rng(d + r)
+        v = gen.standard_normal((d, r)) * (2.0 / np.sqrt(d))
+        if repeated:
+            v[:, 1] = v[:, 0]
+        u = gen.standard_normal((d, r)) / np.sqrt(d)
+        model = bk.PldaModel(gen.standard_normal(d) * 0.1, v, u, gen.uniform(0.2, 1.0, d))
+        quad, h, const = dense_scorer(model)
+        rng = np.random.default_rng(1)
+        for _ in range(pairs):
+            a, b = rng.standard_normal((2, d)) / np.sqrt(d)
+            ca, cb = a - model.mu, b - model.mu
+            expected = float(ca @ quad @ ca + cb @ quad @ cb - ca @ h @ cb + const)
+            assert abs(bk.plda_llr(model, a, b) - expected) <= 1e-9 * abs(expected)
+
+    def test_rank_deficient_speaker_subspace_has_a_zero_eigenvalue(self):
+        v = np.random.default_rng(0).standard_normal((6, 3))
+        v[:, 2] = v[:, 0]
+        model = bk.PldaModel(np.zeros(6), v, np.eye(6)[:, :2], np.ones(6))
+        plus, plus_mu, minus, const = model.scorer
+        assert plus.shape == minus.shape == (3, 6) and plus.flags.c_contiguous
+        # the null direction of V projects every vector to (almost) zero
+        assert min(np.abs(plus).sum(axis=1)) < 1e-12
+        assert np.isfinite(const)
+
+
 class TestCosine:
     def test_identical_vectors(self):
         v = np.array([1.0, 2.0, -1.0])

@@ -485,6 +485,29 @@ class TestEmbedCommand:
         assert capsys.readouterr().err == f"error: {message}: {feats / bad}.feat\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("mask, shape, message", [
+        ("short", (19, 1), "mask/feature mismatch"),  # 19 rows for 20 frames
+        ("no_column", (20, 0), "mask/feature mismatch"),
+        ("corrupt", (20, 1), "bad feature file: truncated payload"),
+    ])
+    def test_rejected_vad_mask_names_the_mask_file(self, tmp_path, capsys, mask, shape, message):
+        from svkit import tensorio
+
+        feats, vad = tmp_path / "feats", tmp_path / "vad"
+        feats.mkdir()
+        vad.mkdir()
+        tensorio.write_feature_matrix(feats / "u0.feat", np.zeros((20, 40)))
+        tensorio.write_feature_matrix(vad / "u0.vad", np.ones(shape))
+        if mask == "corrupt":
+            (vad / "u0.vad").write_bytes((vad / "u0.vad").read_bytes()[:-4])
+        out = tmp_path / "emb.svw"
+        assert cli.main(["embed", "--feats-dir", str(feats), "--vad-dir", str(vad),
+                         "--arch", "resnet34", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}: {vad / 'u0.vad'}\n"
+        assert err.count("u0.vad") == 1 and "u0.feat" not in err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def small_corpus(tmp_path_factory):

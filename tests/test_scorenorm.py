@@ -80,6 +80,30 @@ class TestAdaptSnorm:
         out = sn.adapt_snorm(3.0, scores, scores, sn.SnormConfig(top_x=3))
         assert np.isfinite(out) and out > 0  # (3-2)/1e-12 per side, no blowup to inf
 
+    def test_bit_identical_to_numpy_mean_and_std(self):
+        def numpy_oracle(raw, enroll_scores, test_scores, top_x):
+            out = 0.0
+            for scores in (enroll_scores, test_scores):
+                top = np.sort(scores)[::-1][: min(top_x, len(scores))]
+                mu = float(np.mean(top))
+                sigma = max(float(np.std(top)), sn.SIGMA_FLOOR)
+                out += 0.5 * (raw - mu) / sigma
+            return out
+
+        rng = np.random.default_rng(13)
+        for k in range(600):
+            n = int(rng.integers(2, 501))
+            top_x = int(rng.integers(2, 401))
+            e = rng.standard_normal(n) * rng.uniform(0.01, 100.0) + rng.uniform(-50.0, 50.0)
+            t = rng.standard_normal(n) * rng.uniform(0.01, 100.0)
+            if k % 3 == 1:  # a constant vector: sigma is floored
+                e = np.full(n, float(rng.standard_normal()))
+            elif k % 3 == 2:  # ties
+                t = np.round(t)
+            raw = float(rng.standard_normal()) * 10.0
+            cfg = sn.SnormConfig(top_x=top_x)
+            assert sn.adapt_snorm(raw, e, t, cfg) == numpy_oracle(raw, e, t, top_x)
+
     def test_top_x_config_validation(self):
         with pytest.raises(ValueError, match="top_x"):
             sn.SnormConfig(top_x=1)
