@@ -5,6 +5,8 @@ Embeddings and class weights are unit-normalized before the cosine is
 taken. The true-class cosine cos(theta) becomes cos(theta + m) while
 cos(theta) > cos(pi - m); past that point the monotone surrogate
 cos(theta) - m*sin(m) takes over. Everything is scaled by s.
+
+The head is its (classes, dim) float64 weight matrix, one row per class.
 """
 
 import math
@@ -27,32 +29,12 @@ class AamConfig:
             raise ValueError("margin must be in [0, pi/2)")
 
 
-@dataclass(eq=False)
-class AamHead:
-    """Class weight matrix, one row per class."""
-
-    weight: np.ndarray
-
-    def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        if self.weight.ndim != 2:
-            raise ValueError("head weight must be 2-D")
-
-    @property
-    def num_classes(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.weight.shape[1]
-
-
-def init_head(num_classes: int, dim: int, seed: int) -> AamHead:
+def init_head(num_classes: int, dim: int, seed: int) -> np.ndarray:
     if num_classes < 1 or dim < 1:
         raise ValueError("head needs at least one class and one dimension")
     rng = np.random.default_rng(seed)
     bound = np.sqrt(6.0 / dim)
-    return AamHead(rng.uniform(-bound, bound, size=(num_classes, dim)))
+    return rng.uniform(-bound, bound, size=(num_classes, dim))
 
 
 def _normalize_rows(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -62,10 +44,10 @@ def _normalize_rows(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     return x / norms[:, None], norms
 
 
-def _cosines(e_hat: np.ndarray, head: AamHead, out: np.ndarray | None = None):
+def _cosines(e_hat: np.ndarray, head: np.ndarray, out: np.ndarray | None = None):
     """Cosines of unit embeddings against the head rows, written to ``out``
     when it is given, plus the unit rows and their norms."""
-    w_hat, w_norm = _normalize_rows(head.weight, "weight row")
+    w_hat, w_norm = _normalize_rows(head, "weight row")
     return np.matmul(e_hat, w_hat.T, out=out), w_hat, w_norm
 
 
@@ -121,10 +103,10 @@ def _head_grad(g, e_hat, w_hat, w_norm) -> np.ndarray:
     return (gw_hat - row_dot * w_hat) / w_norm[:, None]
 
 
-def aam_logits(emb: np.ndarray, head: AamHead, label: int, cfg: AamConfig = AamConfig()) -> np.ndarray:
+def aam_logits(emb: np.ndarray, head: np.ndarray, label: int, cfg: AamConfig = AamConfig()) -> np.ndarray:
     """Margin-modified scaled cosine logits for one embedding."""
     emb = np.asarray(emb, dtype=np.float64)
-    if not 0 <= label < head.num_classes:
+    if not 0 <= label < len(head):
         raise ValueError("label out of range")
     e_hat, _ = _normalize_rows(emb[None, :], "embedding")
     cos, _, _ = _cosines(e_hat, head)
@@ -150,10 +132,10 @@ def _batch_arrays(embs, labels):
     return embs, labels.astype(np.int64, copy=False)
 
 
-def _batch_softmax(embs, labels, head: AamHead, cfg: AamConfig):
+def _batch_softmax(embs, labels, head: np.ndarray, cfg: AamConfig):
     """Loss, d(loss)/d(cos) and the normalized factors of one checked batch."""
     embs, labels = _batch_arrays(embs, labels)
-    if labels.max() >= head.num_classes:
+    if labels.max() >= len(head):
         raise ValueError("label out of range")
     e_hat, e_norm = _normalize_rows(embs, "embedding")
     cos, w_hat, w_norm = _cosines(e_hat, head)
@@ -161,12 +143,12 @@ def _batch_softmax(embs, labels, head: AamHead, cfg: AamConfig):
     return loss, g, e_hat, e_norm, w_hat, w_norm
 
 
-def aam_loss(embs, labels, head: AamHead, cfg: AamConfig = AamConfig()) -> float:
+def aam_loss(embs, labels, head: np.ndarray, cfg: AamConfig = AamConfig()) -> float:
     """Mean softmax cross-entropy over margin-modified logits."""
     return _batch_softmax(embs, labels, head, cfg)[0]
 
 
-def aam_grad(embs, labels, head: AamHead, cfg: AamConfig = AamConfig()):
+def aam_grad(embs, labels, head: np.ndarray, cfg: AamConfig = AamConfig()):
     """Loss plus exact gradients wrt head weights and embeddings."""
     loss, g, e_hat, e_norm, w_hat, w_norm = _batch_softmax(embs, labels, head, cfg)
     grad_w = _head_grad(g, e_hat, w_hat, w_norm)
@@ -190,22 +172,22 @@ def finetune_head(embs, labels, cfg: AamConfig = AamConfig(), epochs: int = 50,
         raise ValueError("need at least two classes")
     head = init_head(int(labels.max()) + 1, embs.shape[1], seed)
     e_hat, _ = _normalize_rows(embs, "embedding")
-    cos = np.empty((len(labels), head.num_classes))
+    cos = np.empty((len(labels), len(head)))
     trace = np.zeros(epochs)
     for epoch in range(epochs):
         _, w_hat, w_norm = _cosines(e_hat, head, out=cos)
         trace[epoch], g = _softmax_grad(cos, labels, cfg)
-        head.weight = head.weight - learning_rate * _head_grad(g, e_hat, w_hat, w_norm)
+        head = head - learning_rate * _head_grad(g, e_hat, w_hat, w_norm)
     return head, trace
 
 
-def head_predict(embs, head: AamHead) -> np.ndarray:
+def head_predict(embs, head: np.ndarray) -> np.ndarray:
     """Class decisions by plain cosine argmax (no margin at test time)."""
     embs = np.asarray(embs, dtype=np.float64)
     e_hat, _ = _normalize_rows(embs, "embedding")
     return np.argmax(_cosines(e_hat, head)[0], axis=1)
 
 
-def save_head(head: AamHead, path) -> None:
-    tensorio.write_tensors(path, {"aam.weight": head.weight})
+def save_head(head: np.ndarray, path) -> None:
+    tensorio.write_tensors(path, {"aam.weight": head})
 

@@ -310,12 +310,7 @@ def score_trials(backend: Backend, embeddings_by_id, trials: TrialList) -> Score
     """One backend score per trial, in trial order."""
     pairs = trials.pairs()
     prepped = preprocess_by_id(backend, embeddings_by_id, (u for pair in pairs for u in pair))
-    return _score_prepped(backend, prepped, trials)
-
-
-def _score_prepped(backend: Backend, prepped, trials: TrialList) -> ScoreSet:
-    """Trial scores from the ``preprocess_by_id`` vectors of every trial utterance."""
-    scores = np.array([score_pair(backend, prepped[e], prepped[t]) for e, t in trials.pairs()])
+    scores = np.array([score_pair(backend, prepped[e], prepped[t]) for e, t in pairs])
     return ScoreSet(list(trials.enroll), list(trials.test), scores)
 
 
@@ -323,17 +318,16 @@ def _score_prepped(backend: Backend, prepped, trials: TrialList) -> ScoreSet:
 PLDA_TENSORS = ("lda.mat", "plda.mu", "plda.V", "plda.U", "plda.psi")
 
 
-def save_backend(path, backend: Backend, cohort: np.ndarray | None = None) -> None:
+def save_backend(path, backend: Backend, cohort: np.ndarray) -> None:
     tensors = {"center.mean": backend.mean}
     if backend.kind == "plda":
         p = backend.plda
         tensors.update(zip(PLDA_TENSORS, (backend.lda, p.mu, p.V, p.U, p.psi)))
-    if cohort is not None:
-        tensors["cohort.means"] = cohort
+    tensors["cohort.means"] = cohort
     tensorio.write_tensors(path, tensors)
 
 
-def load_backend(path) -> tuple[Backend, np.ndarray | None]:
+def load_backend(path) -> tuple[Backend, np.ndarray]:
     """Read a backend file; a missing, misshapen or non-finite tensor is an error."""
     tensors = {k: v.astype(np.float64) for k, v in tensorio.read_tensors(path).items()}
     nonfinite = [name for name, value in tensors.items() if not np.all(np.isfinite(value))]
@@ -356,6 +350,8 @@ def load_backend(path) -> tuple[Backend, np.ndarray | None]:
             raise ValueError(f"bad backend file: lda.mat {lda.shape} is not (plda dim, mean dim)")
         backend, dim = Backend("plda", mean, lda, model), model.dim
     cohort = tensors.get("cohort.means")
-    if cohort is not None and (cohort.ndim != 2 or cohort.shape[1] != dim):
+    if cohort is None:
+        raise ValueError("bad backend file: missing cohort.means")
+    if cohort.ndim != 2 or cohort.shape[1] != dim:
         raise ValueError(f"bad backend file: cohort.means is {cohort.shape}, not (n, {dim})")
     return backend, cohort

@@ -15,7 +15,7 @@ import numpy as np
 from . import backend as backend_mod
 from . import calibration, frontend, metrics, nnet, scorenorm, synthdata, tensorio
 from .config import PipelineConfig, load_config
-from .trials import TrialList, load_scores, load_trials, save_scores, save_trials
+from .trials import TrialList, load_scores, load_trials, same_trials, save_scores, save_trials
 
 
 class UsageError(Exception):
@@ -28,7 +28,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_pipeline_config(args) -> PipelineConfig:
-    return load_config(args.config) if args.config else PipelineConfig()
+    if not args.config:
+        return PipelineConfig()
+    with _naming(args.config, UnicodeDecodeError):  # line errors keep their text
+        return load_config(args.config)
 
 
 def _read_labels(path) -> dict[str, str]:
@@ -39,9 +42,9 @@ def _read_labels(path) -> dict[str, str]:
             if not parts:
                 continue
             if len(parts) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 'utt speaker'")
+                raise ValueError(f"line {lineno}: expected 'utt speaker'")
             if parts[0] in labels:
-                raise ValueError(f"{path}: line {lineno}: duplicate utterance id {parts[0]}")
+                raise ValueError(f"line {lineno}: duplicate utterance id {parts[0]}")
             labels[parts[0]] = parts[1]
     return labels
 
@@ -59,12 +62,19 @@ def _inputs(directory, pattern: str, what: str) -> list[Path]:
 
 
 @contextmanager
-def _naming(path):
-    """Append ``path`` to a data error from the block; ``read_wav`` errors name it already."""
+def _naming(path, errors=ValueError):
+    """Append ``path`` to an ``errors`` data error from the block; ``read_wav``
+    errors name it already."""
     try:
         yield
-    except ValueError as exc:
+    except errors as exc:
         raise ValueError(f"{exc}: {path}") from None
+
+
+def _load_named(loader, path):
+    """``loader(path)``, with ``path`` appended to its data errors."""
+    with _naming(path):
+        return loader(path)
 
 
 def cmd_synth(args) -> int:
@@ -78,12 +88,13 @@ def cmd_synth(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     waves, labels = synthdata.gen_toy_corpus(spec)
     names = [f"{spk}_utt{k % spec.utts_per_speaker:03d}" for k, spk in enumerate(labels)]
+    if args.trials_out:  # drawn first, so that bad trial counts leave no corpus behind
+        trials = synthdata.gen_trials(labels, args.num_target, args.num_nontarget, args.seed)
     with open(out_dir / "speakers.txt", "w", encoding="utf-8") as f:
         for name, wave, spk in zip(names, waves, labels):
             frontend.write_wav(out_dir / f"{name}.wav", wave)
             f.write(f"{name} {spk}\n")
     if args.trials_out:
-        trials = synthdata.gen_trials(labels, args.num_target, args.num_nontarget, args.seed)
         id_map = dict(zip(synthdata.utt_ids(len(labels)), names))
         trials = TrialList(
             [id_map[e] for e in trials.enroll],
@@ -157,11 +168,11 @@ def cmd_embed(args) -> int:
 def cmd_train_plda(args) -> int:
     cfg = _load_pipeline_config(args)
     embeddings = _load_embeddings(args.embeddings)
-    labels_by_utt = _read_labels(args.labels)
+    labels_by_utt = _load_named(_read_labels, args.labels)
     utts = sorted(embeddings)
     missing = [u for u in utts if u not in labels_by_utt]
     if missing:
-        raise ValueError(f"unknown utterance id: {missing[0]}")
+        raise ValueError(f"no label for utterance {missing[0]}: {args.labels}")
     x = np.stack([embeddings[u] for u in utts])
     labels = [labels_by_utt[u] for u in utts]
     rank = min(cfg.plda_rank_speaker, x.shape[1])
@@ -182,7 +193,7 @@ def cmd_train_plda(args) -> int:
 def cmd_score(args) -> int:
     backend, _ = backend_mod.load_backend(args.backend_file)
     embeddings = _load_embeddings(args.embeddings)
-    trials = load_trials(args.trials)
+    trials = _load_named(load_trials, args.trials)
     scores = backend_mod.score_trials(backend, embeddings, trials)
     save_scores(args.out, scores)
     print(f"scored {len(scores)} trials", file=sys.stderr)
@@ -192,13 +203,14 @@ def cmd_score(args) -> int:
 def cmd_snorm(args) -> int:
     cfg = _load_pipeline_config(args)
     backend, cohort = backend_mod.load_backend(args.backend_file)
-    if cohort is None:
-        raise ValueError("backend file has no cohort.means")
     embeddings = _load_embeddings(args.embeddings)
-    trials = load_trials(args.trials)
-    raw = load_scores(args.scores) if args.scores else None
+    trials = _load_named(load_trials, args.trials)
+    raw = _load_named(load_scores, args.scores)
+    bad = same_trials(trials, raw)
+    if bad is not None:
+        raise ValueError(f"raw scores do not match the trial list at: {bad[0]} {bad[1]}")
     snorm_cfg = scorenorm.SnormConfig(top_x=cfg.snorm_top_x)
-    out = scorenorm.snorm_scores(backend, embeddings, trials, cohort, snorm_cfg, raw)
+    out = scorenorm.snorm_scores(backend, embeddings, raw, cohort, snorm_cfg)
     save_scores(args.out, out)
     if args.cohort_scores_out:
         # cache of per-utterance cohort scores, one row per sorted trial utt
@@ -211,8 +223,8 @@ def cmd_snorm(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    scores = load_scores(args.scores)
-    key = load_trials(args.key)
+    scores = _load_named(load_scores, args.scores)
+    key = _load_named(load_trials, args.key)
     result = calibration.calibrate_pipeline([scores], key)
     save_scores(args.out, result.scores)
     print("calibrated scores written", file=sys.stderr)
@@ -227,14 +239,18 @@ def _parse_weights(text: str) -> list[float]:
 
 
 def cmd_fuse(args) -> int:
-    scoresets = [load_scores(p) for p in args.scores]
+    scoresets = [_load_named(load_scores, p) for p in args.scores]
     if args.key:
-        key = load_trials(args.key)
+        key = _load_named(load_trials, args.key)
         result = calibration.calibrate_pipeline(scoresets, key)
         fused = result.scores
     else:
         weights = (list(calibration.FUSION_WEIGHTS) if args.weights is None
                    else _parse_weights(args.weights))
+        if args.weights is None and len(weights) != len(scoresets):
+            raise ValueError(f"the default weights {','.join(map(str, weights))} are for "
+                             f"{len(weights)} score sets, not {len(scoresets)}: "
+                             "give --weights or --key")
         if len(weights) == 1 and len(scoresets) > 1:
             weights = weights * len(scoresets)
         fused = calibration.fuse_weighted(scoresets, weights)
@@ -245,8 +261,8 @@ def cmd_fuse(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_pipeline_config(args)
-    scores = load_scores(args.scores)
-    key = load_trials(args.key)
+    scores = _load_named(load_scores, args.scores)
+    key = _load_named(load_trials, args.key)
     params = metrics.DcfParams(cfg.dcf_p_target)
     eer = metrics.compute_eer(scores, key)
     dcf = metrics.compute_min_dcf(scores, key, params)
@@ -316,7 +332,7 @@ def build_parser() -> _Parser:
     p.add_argument("--backend-file", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--trials", required=True)
-    p.add_argument("--scores", help="raw score file (recomputed when absent)")
+    p.add_argument("--scores", required=True, help="raw score file of the trial list")
     p.add_argument("--out", required=True)
     p.add_argument("--cohort-scores-out",
                    help="cache the per-utterance cohort score matrix (SVF1)")

@@ -3,7 +3,8 @@
 Each trial score is z- and t-normalized against the statistics of its
 top-X cohort scores (enroll side and test side) and the two normalized
 scores are averaged. Cohort members are per-speaker means of embeddings
-preprocessed exactly like trial embeddings.
+preprocessed exactly like trial embeddings. The raw scores are an input:
+their pairs are the trials, and ``backend.score_trials`` makes them.
 """
 
 import math
@@ -11,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import (Backend, _score_prepped, length_normalize, preprocess, preprocess_by_id,
-                      score_pair)
-from .trials import ScoreSet, TrialList, same_trials
+from .backend import Backend, length_normalize, preprocess, preprocess_by_id, score_pair
+from .trials import ScoreSet
 
 SIGMA_FLOOR = 1e-12
 
@@ -68,23 +68,16 @@ def adapt_snorm(raw: float, enroll_scores: np.ndarray, test_scores: np.ndarray,
     return out
 
 
-def snorm_scores(backend: Backend, embeddings_by_id, trials: TrialList,
-                 cohort: np.ndarray, cfg: SnormConfig = SnormConfig(),
-                 raw: ScoreSet | None = None) -> ScoreSet:
-    """Normalize every trial of a score set against the cohort.
+def snorm_scores(backend: Backend, embeddings_by_id, raw: ScoreSet,
+                 cohort: np.ndarray, cfg: SnormConfig = SnormConfig()) -> ScoreSet:
+    """Normalize every trial of a raw score set against the cohort.
 
     Cohort scores are raw backend scores; each utterance is preprocessed
     once, and its cohort vector is computed once and reused across trials.
     """
-    bad = None if raw is None else same_trials(trials, raw)
-    if bad is not None:
-        raise ValueError(f"raw scores do not match the trial list at: {bad[0]} {bad[1]}")
-    pairs = trials.pairs()
+    pairs = raw.pairs()
     prepped = preprocess_by_id(backend, embeddings_by_id, (u for pair in pairs for u in pair))
-    if raw is None:
-        raw = _score_prepped(backend, prepped, trials)
     against = {utt: cohort_scores(backend, x, cohort) for utt, x in prepped.items()}
-    normalized = np.array([
+    return raw.with_scores(np.array([
         adapt_snorm(s, against[e], against[t], cfg) for s, (e, t) in zip(raw.scores, pairs)
-    ])
-    return ScoreSet(list(trials.enroll), list(trials.test), normalized)
+    ]))

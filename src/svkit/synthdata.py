@@ -92,6 +92,9 @@ def gen_plda_data(spec: SynthSpec) -> tuple[np.ndarray, list[str], PldaModel]:
 
 def gen_trials(labels, n_target: int, n_nontarget: int, seed: int) -> TrialList:
     """Keyed trial list sampled uniformly without replacement."""
+    if n_target < 0 or n_nontarget < 0:
+        raise ValueError(f"trial counts must be >= 0, got {n_target} target "
+                         f"and {n_nontarget} nontarget")
     labels = list(labels)
     n = len(labels)
     ids = utt_ids(n)

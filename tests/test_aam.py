@@ -14,9 +14,9 @@ CFG = aam.AamConfig(30.0, 0.2)
 def finite_difference_error(embs, labels, head, cfg, step=1e-4):
     """Norm-wise relative error between analytic and central-difference grads."""
     _, grad_w, grad_e = aam.aam_grad(embs, labels, head, cfg)
-    fd_w = np.zeros_like(head.weight)
+    fd_w = np.zeros_like(head)
     fd_e = np.zeros_like(embs)
-    for arr, fd in ((head.weight, fd_w), (embs, fd_e)):
+    for arr, fd in ((head, fd_w), (embs, fd_e)):
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
@@ -38,18 +38,18 @@ def finite_difference_error(embs, labels, head, cfg, step=1e-4):
 def random_case(seed, force_far_branch):
     """Batch of 3 embeddings over 5 classes; optionally one surrogate-branch item."""
     rng = np.random.default_rng(seed)
-    head = aam.AamHead(rng.standard_normal((5, 8)))
+    head = rng.standard_normal((5, 8))
     embs = rng.standard_normal((3, 8))
     labels = rng.integers(0, 5, size=3)
     if force_far_branch:
         labels[0] = 2
-        embs[0] = -head.weight[2] * 1.3 + 0.02 * rng.standard_normal(8)
+        embs[0] = -head[2] * 1.3 + 0.02 * rng.standard_normal(8)
     return embs, labels, head
 
 
 def true_class_cosines(embs, labels, head):
     e = embs / np.linalg.norm(embs, axis=1, keepdims=True)
-    w = head.weight / np.linalg.norm(head.weight, axis=1, keepdims=True)
+    w = head / np.linalg.norm(head, axis=1, keepdims=True)
     return (e @ w.T)[np.arange(len(labels)), labels]
 
 
@@ -68,32 +68,32 @@ def test_init_head_rejects_empty_shape(num_classes, dim):
 class TestAamLogits:
     def test_margin_off_gives_scaled_cosines(self):
         rng = np.random.default_rng(0)
-        head = aam.AamHead(rng.standard_normal((4, 6)))
+        head = rng.standard_normal((4, 6))
         emb = rng.standard_normal(6)
         logits = aam.aam_logits(emb, head, 1, aam.AamConfig(30.0, 0.0))
         e = emb / np.linalg.norm(emb)
-        w = head.weight / np.linalg.norm(head.weight, axis=1, keepdims=True)
+        w = head / np.linalg.norm(head, axis=1, keepdims=True)
         np.testing.assert_allclose(logits, 30.0 * (w @ e), atol=1e-12)
 
     def test_parallel_embedding(self):
-        head = aam.AamHead(np.eye(2))
+        head = np.eye(2)
         logits = aam.aam_logits(np.array([2.5, 0.0]), head, 0, CFG)
         np.testing.assert_allclose(logits[0], 30.0 * math.cos(0.2), atol=1e-12)
         np.testing.assert_allclose(logits[1], 0.0, atol=1e-12)
 
     def test_antiparallel_uses_surrogate(self):
-        head = aam.AamHead(np.eye(2))
+        head = np.eye(2)
         logits = aam.aam_logits(np.array([-1.0, 0.0]), head, 0, CFG)
         np.testing.assert_allclose(logits[0], 30.0 * (-1.0 - 0.2 * math.sin(0.2)), atol=1e-12)
 
     def test_zero_embedding_rejected(self):
-        head = aam.AamHead(np.eye(2))
+        head = np.eye(2)
         with pytest.raises(ValueError, match="degenerate norm"):
             aam.aam_logits(np.zeros(2), head, 0, CFG)
 
     def test_scale_invariance_of_input(self):
         rng = np.random.default_rng(3)
-        head = aam.AamHead(rng.standard_normal((4, 5)))
+        head = rng.standard_normal((4, 5))
         emb = rng.standard_normal(5)
         base = aam.aam_logits(emb, head, 2, CFG)
         for alpha in (1e-3, 0.5, 7.0, 1e4):
@@ -102,7 +102,7 @@ class TestAamLogits:
 
     def test_margin_monotonicity(self):
         rng = np.random.default_rng(4)
-        head = aam.AamHead(rng.standard_normal((3, 4)))
+        head = rng.standard_normal((3, 4))
         emb = rng.standard_normal(4)
         margins = np.linspace(0.0, 1.5, 40)
         values = [aam.aam_logits(emb, head, 0, aam.AamConfig(30.0, m))[0] for m in margins]
@@ -127,7 +127,7 @@ class TestAamLogits:
 
 class TestAamLoss:
     def test_single_class_zero_loss(self):
-        head = aam.AamHead(np.ones((1, 3)))
+        head = np.ones((1, 3))
         loss = aam.aam_loss(np.ones((4, 3)), np.zeros(4, dtype=int), head, CFG)
         assert loss == 0.0
 
@@ -135,10 +135,10 @@ class TestAamLoss:
         rng = np.random.default_rng(5)
         embs = rng.standard_normal((6, 7))
         labels = rng.integers(0, 3, size=6)
-        head = aam.AamHead(rng.standard_normal((3, 7)))
+        head = rng.standard_normal((3, 7))
         loss = aam.aam_loss(embs, labels, head, aam.AamConfig(1.0, 0.0))
         e = embs / np.linalg.norm(embs, axis=1, keepdims=True)
-        w = head.weight / np.linalg.norm(head.weight, axis=1, keepdims=True)
+        w = head / np.linalg.norm(head, axis=1, keepdims=True)
         z = e @ w.T
         expected = float(np.mean(np.log(np.exp(z).sum(axis=1)) - z[np.arange(6), labels]))
         assert abs(loss - expected) < 1e-10
@@ -147,7 +147,7 @@ class TestAamLoss:
         rng = np.random.default_rng(6)
         embs = rng.standard_normal((5, 4))
         labels = rng.integers(0, 3, size=5)
-        head = aam.AamHead(rng.standard_normal((3, 4)))
+        head = rng.standard_normal((3, 4))
         loss = aam.aam_loss(embs, labels, head, CFG)
         total = 0.0
         for i in range(5):
@@ -156,7 +156,7 @@ class TestAamLoss:
         assert abs(loss - total / 5.0) < 1e-10
 
     def test_empty_batch_rejected(self):
-        head = aam.AamHead(np.eye(2))
+        head = np.eye(2)
         with pytest.raises(ValueError, match="empty batch"):
             aam.aam_loss(np.zeros((0, 2)), np.zeros(0, dtype=int), head, CFG)
 
@@ -177,12 +177,12 @@ class TestAamGrad:
         rng = np.random.default_rng(7)
         embs = rng.standard_normal((4, 5))
         labels = rng.integers(0, 3, size=4)
-        head = aam.AamHead(rng.standard_normal((3, 5)))
+        head = rng.standard_normal((3, 5))
         _, grad_w, grad_e = aam.aam_grad(embs, labels, head, aam.AamConfig(1.0, 0.0))
 
         e_norm = np.linalg.norm(embs, axis=1, keepdims=True)
-        w_norm = np.linalg.norm(head.weight, axis=1, keepdims=True)
-        e, w = embs / e_norm, head.weight / w_norm
+        w_norm = np.linalg.norm(head, axis=1, keepdims=True)
+        e, w = embs / e_norm, head / w_norm
         z = e @ w.T
         p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
         p[np.arange(4), labels] -= 1.0
@@ -196,7 +196,7 @@ class TestAamGrad:
         rng = np.random.default_rng(8)
         embs = rng.standard_normal((5, 6))
         labels = rng.integers(0, 4, size=5)
-        head = aam.AamHead(rng.standard_normal((4, 6)))
+        head = rng.standard_normal((4, 6))
         loss1, gw1, ge1 = aam.aam_grad(embs, labels, head, CFG)
         loss2, gw2, ge2 = aam.aam_grad(
             np.concatenate([embs, embs]), np.concatenate([labels, labels]), head, CFG
@@ -230,7 +230,7 @@ class TestFinetuneHead:
         embs, labels = self.separable_set()
         head, trace = aam.finetune_head(embs, labels, CFG, epochs=0, seed=3)
         assert trace.shape == (0,)
-        np.testing.assert_array_equal(head.weight, aam.init_head(2, 2, 3).weight)
+        np.testing.assert_array_equal(head, aam.init_head(2, 2, 3))
 
     def test_loss_trace_improves_over_seeds(self):
         for seed in range(20):
@@ -245,7 +245,7 @@ class TestFinetuneHead:
         embs, labels = self.separable_set()
         h1, t1 = aam.finetune_head(embs, labels, CFG, epochs=10, seed=5)
         h2, t2 = aam.finetune_head(embs, labels, CFG, epochs=10, seed=5)
-        assert np.array_equal(h1.weight, h2.weight)
+        assert np.array_equal(h1, h2)
         assert np.array_equal(t1, t2)
 
     def test_single_class_rejected(self):
@@ -276,7 +276,7 @@ class TestFinetuneHead:
         embs = rng.standard_normal((n, dim))
         init = aam.init_head(classes, dim, seed)
         far = rng.choice(n, size=40, replace=False)
-        embs[far] = -init.weight[labels[far]] + 0.02 * rng.standard_normal((40, dim))
+        embs[far] = -init[labels[far]] + 0.02 * rng.standard_normal((40, dim))
         assert np.sum(true_class_cosines(embs, labels, init) <= -math.cos(CFG.margin)) >= 30
 
         head, trace = aam.finetune_head(embs, labels, CFG, epochs=epochs,
@@ -285,9 +285,9 @@ class TestFinetuneHead:
         for _ in range(epochs):
             loss, grad_w, _ = aam.aam_grad(embs, labels, ref, CFG)
             ref_trace.append(loss)
-            ref.weight -= lr * grad_w
+            ref -= lr * grad_w
         assert np.array_equal(trace, ref_trace)
-        assert np.array_equal(head.weight, ref.weight)
+        assert np.array_equal(head, ref)
 
     def test_peak_memory_bounded_by_score_matrix(self):
         # Full-batch training needs one (batch, classes) float64 buffer;
@@ -307,9 +307,8 @@ class TestFinetuneHead:
 
 class TestHeadFile:
     def test_roundtrip(self, tmp_path):
-        head = aam.init_head(4, 6, 0)
-        head.weight = head.weight.astype(np.float32).astype(np.float64)
+        head = aam.init_head(4, 6, 0).astype(np.float32).astype(np.float64)
         aam.save_head(head, tmp_path / "h.svw")
         back = tensorio.read_tensors(tmp_path / "h.svw")
         assert list(back) == ["aam.weight"]
-        np.testing.assert_array_equal(back["aam.weight"].astype(np.float64), head.weight)
+        np.testing.assert_array_equal(back["aam.weight"].astype(np.float64), head)

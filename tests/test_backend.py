@@ -588,10 +588,11 @@ class TestBackendFile:
 
     def test_cosine_roundtrip(self, tmp_path):
         backend = bk.Backend("cosine", np.array([0.5, -1.0]))
-        bk.save_backend(tmp_path / "b.svw", backend)
-        loaded, cohort = bk.load_backend(tmp_path / "b.svw")
+        cohort = np.array([[0.6, -0.8], [-1.0, 0.0], [0.0, 1.0]])
+        bk.save_backend(tmp_path / "b.svw", backend, cohort)
+        loaded, cohort_back = bk.load_backend(tmp_path / "b.svw")
         assert loaded.kind == "cosine"
-        assert cohort is None
+        np.testing.assert_allclose(cohort_back, cohort, atol=1e-6)
 
     @pytest.mark.parametrize("drop, replace, message", [
         ("center.mean", {}, "center.mean must be a vector"),
@@ -603,6 +604,7 @@ class TestBackendFile:
         (None, {"plda.psi": np.ones(5)}, "inconsistent PLDA shapes"),
         (None, {"cohort.means": np.ones((8, 5))}, r"cohort.means is \(8, 5\)"),
         (None, {"plda.V": np.full((6, 2), np.nan)}, "non-finite values in plda.V"),
+        ("cohort.means", {}, "missing cohort.means"),
     ])
     def test_malformed_file_rejected(self, tmp_path, drop, replace, message):
         backend = bk.Backend("plda", np.zeros(6), np.eye(6), bk.PldaModel(

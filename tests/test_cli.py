@@ -150,6 +150,17 @@ class TestFuseCommand:
                          "--out", str(out)]) == 0
         assert len(load_scores(out)) == n
 
+    def test_default_weights_need_four_score_sets(self, tmp_path, capsys):
+        s, _ = separated_scores(tmp_path)
+        out = tmp_path / "fused.txt"
+        assert cli.main(["fuse", "--scores", str(s), str(s), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the default weights 0.4,0.4,0.1,0.1 are for 4 score sets, not 2: "
+            "give --weights or --key\n")
+        assert not out.exists()
+        assert cli.main(["fuse", "--scores", *[str(s)] * 4, "--out", str(out)]) == 0
+        assert out.read_bytes() == s.read_bytes()
+
     @pytest.mark.parametrize("weights", ["nan", "inf", "1,nan"])
     def test_non_finite_weights_are_data_error(self, tmp_path, capsys, weights):
         s, _ = separated_scores(tmp_path)
@@ -350,6 +361,76 @@ class TestPipelineChain:
         err = capsys.readouterr().err
         assert err.startswith("error: bad backend file: missing") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["score", "snorm"])
+    def test_backend_file_without_cohort_is_data_error(self, tmp_path, capsys, command):
+        from svkit import tensorio
+
+        tensorio.write_tensors(tmp_path / "backend.svw", {"center.mean": np.zeros(4)})
+        tensorio.write_tensors(tmp_path / "emb.svw", {"a": np.ones(4), "b": -np.ones(4)})
+        save_trials(tmp_path / "trials.txt", TrialList(["a"], ["b"]))
+        save_scores(tmp_path / "raw.scores", ScoreSet(["a"], ["b"], np.array([0.5])))
+        out = tmp_path / "out.scores"
+        assert cli.main([command, "--backend-file", str(tmp_path / "backend.svw"),
+                         "--embeddings", str(tmp_path / "emb.svw"),
+                         "--trials", str(tmp_path / "trials.txt"), "--out", str(out)]
+                        + ["--scores", str(tmp_path / "raw.scores")] * (command == "snorm")) == 2
+        assert capsys.readouterr().err == "error: bad backend file: missing cohort.means\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, content, message", [
+        ("--key", b"1 e0 t0\n2 e1 t1\n", "line 2: label must be 0 or 1"),
+        ("--scores", b"e0 t0\n", "line 1: expected 'enroll test score'"),
+        ("--labels", b"u0 s0 extra\n", "line 1: expected 'utt speaker'"),
+        *((flag, b"u0 s0\n\xff\n", "'utf-8' codec can't decode byte 0xff")
+          for flag in ("--key", "--scores", "--labels", "--config")),
+    ], ids=["key", "scores", "labels", "key-utf8", "scores-utf8", "labels-utf8", "config-utf8"])
+    def test_rejected_text_input_names_its_file_once(self, tmp_path, capsys, flag, content,
+                                                     message):
+        from svkit import tensorio
+
+        s, k = separated_scores(tmp_path)
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(content)
+        if flag == "--labels":
+            tensorio.write_tensors(tmp_path / "emb.svw", {"u0": np.ones(2), "u1": -np.ones(2)})
+            argv = ["train_plda", "--embeddings", str(tmp_path / "emb.svw"), "--labels", str(bad),
+                    "--backend", "cosine", "--out", str(tmp_path / "backend.svw")]
+        else:
+            paths = {"--scores": s, "--key": k, flag: bad}
+            argv = ["eval", *(str(x) for pair in paths.items() for x in pair)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert err.count(str(bad)) == 1
+
+    def test_unlabelled_utterance_is_data_error(self, tmp_path, capsys):
+        from svkit import tensorio
+
+        rng = np.random.default_rng(0)
+        tensorio.write_tensors(tmp_path / "emb.svw",
+                               {f"u{i}": rng.standard_normal(4) for i in range(4)})
+        labels = tmp_path / "labels.txt"
+        labels.write_text("u0 s0\nu1 s1\nu2 s0\n")
+        out = tmp_path / "backend.svw"
+        assert cli.main(["train_plda", "--embeddings", str(tmp_path / "emb.svw"),
+                         "--labels", str(labels), "--backend", "cosine", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: no label for utterance u3: {labels}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--num-target", "--num-nontarget"])
+    def test_negative_trial_count_is_data_error(self, tmp_path, capsys, flag):
+        synth = ["synth", "--out-dir", str(tmp_path / "corpus"), "--num-speakers", "2",
+                 "--utts-per-speaker", "2", "--duration", "0.1",
+                 "--trials-out", str(tmp_path / "trials.txt"),
+                 "--num-target", "1", "--num-nontarget", "1", flag]
+        assert cli.main(synth + ["-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trial counts must be >= 0, got ") and err.count("\n") == 1
+        assert "-1" in err
+        assert not list(tmp_path.rglob("*.wav")) and not (tmp_path / "trials.txt").exists()
+        assert cli.main(synth + ["0"]) == 0  # zero trials of one kind stay valid
+        assert len((tmp_path / "trials.txt").read_text().splitlines()) == 1
+
     def test_tdnn_embedding_dim_is_data_error(self, tmp_path, capsys):
         from svkit import tensorio
 
@@ -549,7 +630,8 @@ FEATS = ["feats", "--wav-dir", "w", "--out-dir", "o"]
 VAD = ["vad", "--wav-dir", "w", "--out-dir", "o"]
 EMBED = ["embed", "--feats-dir", "f", "--out", "o"]
 SCORE = ["score", "--backend-file", "b", "--embeddings", "e", "--trials", "t", "--out", "o"]
-SNORM = ["snorm", "--backend-file", "b", "--embeddings", "e", "--trials", "t", "--out", "o"]
+SNORM = ["snorm", "--backend-file", "b", "--embeddings", "e", "--trials", "t", "--scores", "s",
+         "--out", "o"]
 CALIBRATE = ["calibrate", "--scores", "s", "--key", "k", "--out", "o"]
 FUSE = ["fuse", "--scores", "s", "--key", "k", "--out", "o"]
 EVAL = ["eval", "--scores", "s", "--key", "k"]
@@ -623,6 +705,11 @@ class TestFlags:
         assert cli.main(argv + flag) == 1
         expected = message or f"unrecognized arguments: {' '.join(flag)}"
         assert expected in capsys.readouterr().err
+
+    def test_snorm_requires_raw_scores(self, capsys):
+        assert cli.main(["snorm", "--backend-file", "b", "--embeddings", "e", "--trials", "t",
+                         "--out", "o"]) == 1
+        assert "the following arguments are required: --scores" in capsys.readouterr().err
 
     def test_every_option_is_exercised_by_a_test_or_workload(self):
         """Each option of each subcommand is passed by some test or perfbench workload."""

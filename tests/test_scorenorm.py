@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from svkit import backend as bk
+from svkit import cli, tensorio
 from svkit import scorenorm as sn
 from svkit import synthdata as sd
-from svkit.trials import ScoreSet
+from svkit.trials import ScoreSet, save_scores, save_trials
 
 
 def snorm_oracle(raw, enroll_scores, test_scores, top_x):
@@ -169,23 +170,30 @@ class TestSnormScores:
         trials = sd.gen_trials(labels, 30, 30, seed=2)
         return backend, cohort, by_id, trials
 
+    def snorm_cli(self, tmp_path, spoil):
+        """``svkit snorm`` on the setup state with ``spoil(raw)`` as its raw
+        score file: the exit code and the trial list."""
+        backend, cohort, by_id, trials = self.setup_state()
+        bk.save_backend(tmp_path / "b.svw", backend, cohort)
+        tensorio.write_tensors(tmp_path / "e.svw", by_id)
+        save_trials(tmp_path / "t.txt", trials)
+        save_scores(tmp_path / "raw.txt", spoil(bk.score_trials(backend, by_id, trials)))
+        code = cli.main(["snorm", "--backend-file", str(tmp_path / "b.svw"),
+                         "--embeddings", str(tmp_path / "e.svw"),
+                         "--trials", str(tmp_path / "t.txt"),
+                         "--scores", str(tmp_path / "raw.txt"),
+                         "--out", str(tmp_path / "out.txt")])
+        return code, trials
+
     def test_matches_trialwise_adapt_snorm(self):
         backend, cohort, by_id, trials = self.setup_state()
         cfg = sn.SnormConfig(top_x=7)
         raw = bk.score_trials(backend, by_id, trials)
-        out = sn.snorm_scores(backend, by_id, trials, cohort, cfg, raw)
+        out = sn.snorm_scores(backend, by_id, raw, cohort, cfg)
         for (e, t), r, s in zip(trials.pairs(), raw.scores, out.scores):
             ce = sn.cohort_scores(backend, bk.preprocess(backend, by_id[e]), cohort)
             ct = sn.cohort_scores(backend, bk.preprocess(backend, by_id[t]), cohort)
             assert abs(s - sn.adapt_snorm(r, ce, ct, cfg)) < 1e-12
-
-    def test_recomputes_raw_when_absent(self):
-        backend, cohort, by_id, trials = self.setup_state()
-        cfg = sn.SnormConfig(top_x=5)
-        raw = bk.score_trials(backend, by_id, trials)
-        a = sn.snorm_scores(backend, by_id, trials, cohort, cfg, raw)
-        b = sn.snorm_scores(backend, by_id, trials, cohort, cfg, None)
-        np.testing.assert_allclose(a.scores, b.scores, atol=1e-15)
 
     def test_preprocesses_each_trial_utterance_once(self, monkeypatch):
         backend, cohort, by_id, trials = self.setup_state()
@@ -194,23 +202,24 @@ class TestSnormScores:
         calls = []
         preprocess = bk.preprocess
         monkeypatch.setattr(bk, "preprocess", lambda b, x: calls.append(1) or preprocess(b, x))
-        for given in (None, raw):
-            calls.clear()
-            sn.snorm_scores(backend, by_id, trials, cohort, raw=given)
-            assert len(calls) == distinct
+        sn.snorm_scores(backend, by_id, raw, cohort)
+        assert len(calls) == distinct
 
-    def test_mismatched_raw_rejected(self):
-        backend, cohort, by_id, trials = self.setup_state()
+    def test_mismatched_raw_rejected(self, tmp_path, capsys):
         wrong = ScoreSet(["u000000"], ["u000001"], np.array([0.5]))
-        with pytest.raises(ValueError, match="do not match"):
-            sn.snorm_scores(backend, by_id, trials, cohort, raw=wrong)
+        code, _ = self.snorm_cli(tmp_path, lambda raw: wrong)
+        assert code == 2
+        assert "do not match" in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
 
-    def test_mismatched_raw_names_first_differing_trial(self):
-        backend, cohort, by_id, trials = self.setup_state()
-        raw = bk.score_trials(backend, by_id, trials)
-        test = list(raw.test)
-        test[3], test[5] = "x", "y"
-        wrong = ScoreSet(list(raw.enroll), test, raw.scores)
+    def test_mismatched_raw_names_first_differing_trial(self, tmp_path, capsys):
+        def swap(raw):
+            test = list(raw.test)
+            test[3], test[5] = "x", "y"
+            return ScoreSet(list(raw.enroll), test, raw.scores)
+
+        code, trials = self.snorm_cli(tmp_path, swap)
         e, t = trials.pairs()[3]
-        with pytest.raises(ValueError, match=f"^raw scores do not match the trial list at: {e} {t}$"):
-            sn.snorm_scores(backend, by_id, trials, cohort, raw=wrong)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: raw scores do not match the trial list at: {e} {t}\n")
