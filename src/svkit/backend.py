@@ -296,13 +296,18 @@ def score_pair(backend: Backend, a: np.ndarray, b: np.ndarray) -> float:
 
 def preprocess_by_id(backend: Backend, embeddings_by_id, ids) -> dict[str, np.ndarray]:
     """Preprocessed vector of each distinct id, in first-seen order, from one
-    ``preprocess`` call per id, so it is the same whichever command asks."""
+    ``preprocess`` call per id, so it is the same whichever command asks. Each
+    vector must have the shape of the backend's mean."""
     out: dict[str, np.ndarray] = {}
     for utt in ids:
         if utt not in out:
             if utt not in embeddings_by_id:
                 raise ValueError(f"unknown utterance id: {utt}")
-            out[utt] = preprocess(backend, np.asarray(embeddings_by_id[utt]))
+            emb = np.asarray(embeddings_by_id[utt])
+            if emb.shape != backend.mean.shape:
+                raise ValueError(f"utterance {utt} has an embedding of shape {emb.shape}, "
+                                 f"but the backend scores shape {backend.mean.shape}")
+            out[utt] = preprocess(backend, emb)
     return out
 
 

@@ -1,6 +1,6 @@
 """Score calibration and fusion: fixed weighted averaging, logistic
 regression over trial scores, and the pre-calibrate / fuse / re-calibrate
-pipeline.
+pipeline, which hands on only its final score set.
 
 The logistic regression minimizes the prior-weighted binary cross-entropy
 of sigmoid(w . s + b + logit(prior)) by deterministic gradient descent
@@ -140,16 +140,9 @@ def train_logreg(scores: np.ndarray, targets: np.ndarray, prior: float = 0.5) ->
     return FusionModel(tuple(params[:-1]), float(params[-1]))
 
 
-@dataclass(eq=False)
-class CalibrationResult:
-    system_models: list[FusionModel]
-    fusion_model: FusionModel
-    final_model: FusionModel
-    scores: ScoreSet
-
-
-def calibrate_pipeline(scoresets: list[ScoreSet], key: TrialList) -> CalibrationResult:
-    """Pre-calibrate each system, fuse by logistic regression, re-calibrate, all at prior 0.5."""
+def calibrate_pipeline(scoresets: list[ScoreSet], key: TrialList) -> ScoreSet:
+    """Pre-calibrate each system, fuse by logistic regression, re-calibrate, all at
+    prior 0.5; the final calibrated scores, in trial order."""
     _check_aligned(scoresets)
     if key.labels is None:
         raise ValueError("key must be labeled")
@@ -163,6 +156,5 @@ def calibrate_pipeline(scoresets: list[ScoreSet], key: TrialList) -> Calibration
     fusion_model = train_logreg(stacked, targets)
     fused = apply_fusion(calibrated, fusion_model)
     final_model = train_logreg(fused.scores, targets)
-    final = apply_fusion([fused], final_model)
-    return CalibrationResult(system_models, fusion_model, final_model, final)
+    return apply_fusion([fused], final_model)
 

@@ -49,10 +49,6 @@ def _read_labels(path) -> dict[str, str]:
     return labels
 
 
-def _load_embeddings(path) -> dict[str, np.ndarray]:
-    return {k: v.astype(np.float64) for k, v in tensorio.read_tensors(path).items()}
-
-
 def _inputs(directory, pattern: str, what: str) -> list[Path]:
     """The files in ``directory`` matching ``pattern``, sorted; none is a data error."""
     paths = sorted(Path(directory).glob(pattern))
@@ -118,7 +114,7 @@ def cmd_feats(args) -> int:
             feats = extractor(wave)
             if cfg.apply_stmn:
                 feats = frontend.stmn(feats)
-        tensorio.write_feature_matrix(out_dir / f"{path.stem}.feat", feats.data)
+        tensorio.write_feature_matrix(out_dir / f"{path.stem}.feat", feats)
     print(f"extracted {args.feat} features for {len(wavs)} files", file=sys.stderr)
     return 0
 
@@ -142,7 +138,7 @@ def cmd_embed(args) -> int:
     with _naming(feat_paths[0]):
         dim = tensorio.read_feature_matrix(feat_paths[0]).shape[1]
     if args.weights:
-        weights = tensorio.read_tensors(args.weights)
+        weights = _load_named(tensorio.read_tensors, args.weights)
         spec = nnet.make_spec(args.arch, dim, nnet.num_classes_of(args.arch, weights),
                               cfg.embedding_dim or None)
     else:
@@ -152,14 +148,14 @@ def cmd_embed(args) -> int:
     out: dict[str, np.ndarray] = {}
     for path in feat_paths:
         with _naming(path):
-            feats = frontend.FeatureMatrix(tensorio.read_feature_matrix(path))
+            feats = tensorio.read_feature_matrix(path)
         if args.vad_dir:
             vad_path = Path(args.vad_dir) / f"{path.stem}.vad"
             with _naming(vad_path):  # a mask that does not fit is the mask's fault
                 mask = tensorio.read_feature_matrix(vad_path).ravel() > 0.5
                 feats = frontend.apply_vad(feats, mask)
         with _naming(path):
-            out[path.stem] = nnet.forward(feats.data.astype(np.float32), net).astype(np.float32)
+            out[path.stem] = nnet.forward(feats, net)
     tensorio.write_tensors(args.out, out)
     print(f"embedded {len(out)} utterances with {args.arch}", file=sys.stderr)
     return 0
@@ -167,12 +163,17 @@ def cmd_embed(args) -> int:
 
 def cmd_train_plda(args) -> int:
     cfg = _load_pipeline_config(args)
-    embeddings = _load_embeddings(args.embeddings)
+    embeddings = _load_named(tensorio.read_tensors, args.embeddings)
     labels_by_utt = _load_named(_read_labels, args.labels)
     utts = sorted(embeddings)
     missing = [u for u in utts if u not in labels_by_utt]
     if missing:
         raise ValueError(f"no label for utterance {missing[0]}: {args.labels}")
+    shapes = [embeddings[u].shape for u in utts]
+    odd = [(u, shape) for u, shape in zip(utts, shapes) if shape != shapes[0]]
+    if odd:
+        raise ValueError(f"utterance {odd[0][0]} has an embedding of shape {odd[0][1]}, not "
+                         f"{shapes[0]} like {utts[0]}: {args.embeddings}")
     x = np.stack([embeddings[u] for u in utts])
     labels = [labels_by_utt[u] for u in utts]
     rank = min(cfg.plda_rank_speaker, x.shape[1])
@@ -191,8 +192,8 @@ def cmd_train_plda(args) -> int:
 
 
 def cmd_score(args) -> int:
-    backend, _ = backend_mod.load_backend(args.backend_file)
-    embeddings = _load_embeddings(args.embeddings)
+    backend, _ = _load_named(backend_mod.load_backend, args.backend_file)
+    embeddings = _load_named(tensorio.read_tensors, args.embeddings)
     trials = _load_named(load_trials, args.trials)
     scores = backend_mod.score_trials(backend, embeddings, trials)
     save_scores(args.out, scores)
@@ -202,8 +203,8 @@ def cmd_score(args) -> int:
 
 def cmd_snorm(args) -> int:
     cfg = _load_pipeline_config(args)
-    backend, cohort = backend_mod.load_backend(args.backend_file)
-    embeddings = _load_embeddings(args.embeddings)
+    backend, cohort = _load_named(backend_mod.load_backend, args.backend_file)
+    embeddings = _load_named(tensorio.read_tensors, args.embeddings)
     trials = _load_named(load_trials, args.trials)
     raw = _load_named(load_scores, args.scores)
     bad = same_trials(trials, raw)
@@ -225,8 +226,8 @@ def cmd_snorm(args) -> int:
 def cmd_calibrate(args) -> int:
     scores = _load_named(load_scores, args.scores)
     key = _load_named(load_trials, args.key)
-    result = calibration.calibrate_pipeline([scores], key)
-    save_scores(args.out, result.scores)
+    calibrated = calibration.calibrate_pipeline([scores], key)
+    save_scores(args.out, calibrated)
     print("calibrated scores written", file=sys.stderr)
     return 0
 
@@ -242,8 +243,7 @@ def cmd_fuse(args) -> int:
     scoresets = [_load_named(load_scores, p) for p in args.scores]
     if args.key:
         key = _load_named(load_trials, args.key)
-        result = calibration.calibrate_pipeline(scoresets, key)
-        fused = result.scores
+        fused = calibration.calibrate_pipeline(scoresets, key)
     else:
         weights = (list(calibration.FUSION_WEIGHTS) if args.weights is None
                    else _parse_weights(args.weights))

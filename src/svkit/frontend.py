@@ -7,6 +7,9 @@ frames; pre-emphasis 0.97; 40 mel filters between 20 and 7600 Hz; 30 PLP
 coefficients; a 3 s STMN window; and a VAD threshold of mean - 0.5 std
 of the frame log energies with a 5-frame majority vote. Audio sampled
 below 15.2 kHz cannot carry the band and is rejected.
+
+Features are plain 2-D arrays, one row every FRAME_SHIFT seconds; ``fbank``
+and ``plp`` return float64, and ``apply_vad`` keeps the dtype it is given.
 """
 
 from dataclasses import dataclass
@@ -39,18 +42,6 @@ class Waveform:
             raise ValueError("invalid audio: expected a 1-D sample array")
         if self.sample_rate <= 0:
             raise ValueError("invalid audio: nonpositive sample rate")
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureMatrix:
-    """Per-frame feature rows, one every FRAME_SHIFT seconds."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", np.asarray(self.data, dtype=np.float64))
-        if self.data.ndim != 2:
-            raise ValueError("feature matrix must be 2-D")
 
 
 def frame_count(num_samples: int, frame_samples: int, shift_samples: int) -> int:
@@ -120,11 +111,10 @@ def _mel_energies(wave: Waveform):
     return power @ fb.T, centers_hz
 
 
-def fbank(wave: Waveform) -> FeatureMatrix:
+def fbank(wave: Waveform) -> np.ndarray:
     """Log mel-filterbank energies, one row per frame."""
     energies, _ = _mel_energies(wave)
-    feats = np.log(np.maximum(energies, ENERGY_FLOOR))
-    return FeatureMatrix(feats)
+    return np.log(np.maximum(energies, ENERGY_FLOOR))
 
 
 def _equal_loudness(freq_hz: np.ndarray) -> np.ndarray:
@@ -168,7 +158,7 @@ def _lpc_to_cepstrum(a: np.ndarray, err: np.ndarray, num_ceps: int) -> np.ndarra
     return c
 
 
-def plp(wave: Waveform) -> FeatureMatrix:
+def plp(wave: Waveform) -> np.ndarray:
     """Perceptual linear prediction cepstra.
 
     Pipeline: power spectrum, mel filterbank, equal-loudness weighting,
@@ -183,12 +173,11 @@ def plp(wave: Waveform) -> FeatureMatrix:
     spectrum = np.concatenate([compressed, compressed[:, -2:0:-1]], axis=1)
     autocorr = np.fft.ifft(spectrum, axis=1).real
     a, err = _levinson(autocorr[:, : NUM_PLP_COEFFS + 1], NUM_PLP_COEFFS)
-    feats = _lpc_to_cepstrum(a, err, NUM_PLP_COEFFS)
-    return FeatureMatrix(feats)
+    return _lpc_to_cepstrum(a, err, NUM_PLP_COEFFS)
 
 
-def stmn(feats: FeatureMatrix, window_s: float = STMN_WINDOW) -> FeatureMatrix:
-    """Short-time mean normalization over a sliding window.
+def stmn(feats: np.ndarray, window_s: float = STMN_WINDOW) -> np.ndarray:
+    """Short-time mean normalization of (frames x dims) rows over a sliding window.
 
     The window is centered on each frame and shrinks at utterance edges;
     an utterance no longer than half the window degenerates to global
@@ -196,8 +185,7 @@ def stmn(feats: FeatureMatrix, window_s: float = STMN_WINDOW) -> FeatureMatrix:
     """
     if window_s <= 0:
         raise ValueError("invalid config: nonpositive stmn window")
-    data = feats.data
-    n = data.shape[0]
+    n = feats.shape[0]
     if n == 0:
         return feats
     w = max(int(round(window_s / FRAME_SHIFT)), 1)
@@ -205,10 +193,10 @@ def stmn(feats: FeatureMatrix, window_s: float = STMN_WINDOW) -> FeatureMatrix:
     start = np.maximum(t - w // 2, 0)
     stop = np.minimum(t + (w - 1 - w // 2), n - 1)
     # Anchor at the first frame so a constant input comes out exactly zero.
-    shifted = data - data[0]
-    csum = np.vstack([np.zeros((1, data.shape[1])), np.cumsum(shifted, axis=0)])
+    shifted = feats - feats[0]
+    csum = np.vstack([np.zeros((1, feats.shape[1])), np.cumsum(shifted, axis=0)])
     means = (csum[stop + 1] - csum[start]) / (stop - start + 1)[:, None]
-    return FeatureMatrix(shifted - means)
+    return shifted - means
 
 
 def energy_vad(wave: Waveform) -> np.ndarray:
@@ -232,14 +220,14 @@ def energy_vad(wave: Waveform) -> np.ndarray:
     return 2 * trues >= (hi - lo)
 
 
-def apply_vad(feats: FeatureMatrix, mask: np.ndarray) -> FeatureMatrix:
-    """Drop frames where the mask is false, preserving order."""
+def apply_vad(feats: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Drop the feature rows where the mask is false, preserving order and dtype."""
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (len(feats.data),):
+    if mask.shape != (len(feats),):
         raise ValueError("mask/feature mismatch")
     if not mask.any():
         raise ValueError("no speech: VAD removed every frame")
-    return FeatureMatrix(feats.data[mask])
+    return feats[mask]
 
 
 def read_wav(path) -> Waveform:

@@ -291,9 +291,9 @@ def test_c10_calibration_fusion():
     assert np.array_equal(fused.scores, base)
 
     sset, key = llr_scores(6, 400, 400, scale=3.0, offset=-1.0)
-    result = cal.calibrate_pipeline([sset], key)
-    assert np.array_equal(np.argsort(result.scores.scores), np.argsort(sset.scores))
-    assert mt.compute_eer(result.scores, key) == mt.compute_eer(sset, key)
+    scores = cal.calibrate_pipeline([sset], key)
+    assert np.array_equal(np.argsort(scores.scores), np.argsort(sset.scores))
+    assert mt.compute_eer(scores, key) == mt.compute_eer(sset, key)
     report("c10 calibration/fusion: logreg CE <= prior-only CE; reference "
            "weights over identical systems reproduce inputs exactly; "
            "single-system calibration preserves ordering and EER exactly")
@@ -314,10 +314,10 @@ def test_c11_features():
     edges = np.linspace(2595 * np.log10(1 + fe.LOW_FREQ / 700),
                         2595 * np.log10(1 + fe.HIGH_FREQ / 700), 42)
     centers = 700 * (10 ** (edges[1:-1] / 2595) - 1)
-    assert out.data.mean(axis=0).argmax() == np.argmin(np.abs(centers - 1000.0))
+    assert out.mean(axis=0).argmax() == np.argmin(np.abs(centers - 1000.0))
 
-    const = fe.FeatureMatrix(np.full((120, 7), 3.3))
-    assert np.all(fe.stmn(const, 3.0).data == 0.0)
+    const = np.full((120, 7), 3.3)
+    assert np.all(fe.stmn(const, 3.0) == 0.0)
 
     wave = fe.Waveform(np.random.default_rng(17).standard_normal(12000) * 0.1)
     base = fe.energy_vad(wave)

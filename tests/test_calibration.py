@@ -148,39 +148,54 @@ class TestApplyFusion:
 class TestCalibratePipeline:
     def test_single_system_positive_affine(self):
         sset, key = llr_scores(5, 1500, 1500, scale=2.0, offset=0.5)
-        result = cal.calibrate_pipeline([sset], key)
+        scores = cal.calibrate_pipeline([sset], key)
+        # the three stages, composed here, give the pipeline's scores exactly
+        system_model = cal.train_logreg(sset.scores, key.labels)
+        calibrated = cal.apply_fusion([sset], system_model)
+        fusion_model = cal.train_logreg(np.stack([calibrated.scores], axis=1), key.labels)
+        fused = cal.apply_fusion([calibrated], fusion_model)
+        final_model = cal.train_logreg(fused.scores, key.labels)
+        assert np.array_equal(scores.scores, cal.apply_fusion([fused], final_model).scores)
         # composition of the three trained stages is affine in the input
-        slope_parts = (result.system_models[0].weights[0]
-                       * result.fusion_model.weights[0]
-                       * result.final_model.weights[0])
+        slope_parts = (system_model.weights[0]
+                       * fusion_model.weights[0]
+                       * final_model.weights[0])
         assert slope_parts > 0.0
         reconstructed = slope_parts * sset.scores + (
-            result.final_model.offset
-            + result.final_model.weights[0] * result.fusion_model.offset
-            + result.final_model.weights[0] * result.fusion_model.weights[0]
-            * result.system_models[0].offset)
-        np.testing.assert_allclose(result.scores.scores, reconstructed, atol=1e-9)
+            final_model.offset
+            + final_model.weights[0] * fusion_model.offset
+            + final_model.weights[0] * fusion_model.weights[0]
+            * system_model.offset)
+        np.testing.assert_allclose(scores.scores, reconstructed, atol=1e-9)
 
     def test_eer_preserved_for_single_system(self):
         sset, key = llr_scores(6, 400, 400, scale=3.0, offset=-1.0)
-        result = cal.calibrate_pipeline([sset], key)
-        assert np.array_equal(np.argsort(result.scores.scores), np.argsort(sset.scores))
-        assert mt.compute_eer(result.scores, key) == mt.compute_eer(sset, key)
+        scores = cal.calibrate_pipeline([sset], key)
+        assert np.array_equal(np.argsort(scores.scores), np.argsort(sset.scores))
+        assert mt.compute_eer(scores, key) == mt.compute_eer(sset, key)
 
     def test_cross_entropy_improves_on_miscalibrated_scores(self):
         sset, key = llr_scores(7, 2000, 2000, scale=2.0, offset=0.5)
-        result = cal.calibrate_pipeline([sset], key)
-        assert (cross_entropy(result.scores.scores, key.labels)
+        scores = cal.calibrate_pipeline([sset], key)
+        assert (cross_entropy(scores.scores, key.labels)
                 <= cross_entropy(sset.scores, key.labels))
 
     def test_fusion_of_two_systems_runs(self):
         a, key = llr_scores(8, 500, 500)
         b, _ = llr_scores(9, 500, 500, scale=0.5)
         b = ScoreSet(list(a.enroll), list(a.test), b.scores)
-        result = cal.calibrate_pipeline([a, b], key)
-        assert len(result.system_models) == 2
-        assert len(result.fusion_model.weights) == 2
-        assert len(result.scores) == len(a)
+        scores = cal.calibrate_pipeline([a, b], key)
+        # the three stages, composed here, give the pipeline's scores exactly
+        system_models = [cal.train_logreg(s.scores, key.labels) for s in (a, b)]
+        calibrated = [cal.apply_fusion([s], m) for s, m in zip((a, b), system_models)]
+        fusion_model = cal.train_logreg(np.stack([c.scores for c in calibrated], axis=1),
+                                        key.labels)
+        fused = cal.apply_fusion(calibrated, fusion_model)
+        final_model = cal.train_logreg(fused.scores, key.labels)
+        assert np.array_equal(scores.scores, cal.apply_fusion([fused], final_model).scores)
+        assert len(system_models) == 2
+        assert len(fusion_model.weights) == 2
+        assert len(scores) == len(a)
 
     def test_unlabeled_key_rejected(self):
         sset, key = llr_scores(10, 20, 20)

@@ -1,6 +1,8 @@
 """CLI and configuration tests (in-process invocation of svkit.cli.main)."""
 
 import ast
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,8 @@ import pytest
 
 from svkit import backend, calibration, cli, frontend, metrics
 from svkit.config import PipelineConfig, parse_config
-from svkit.trials import ScoreSet, TrialList, load_scores, save_scores, save_trials
+from svkit.trials import (ScoreSet, TrialList, load_scores, load_trials, save_scores,
+                          save_trials)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -374,7 +377,8 @@ class TestPipelineChain:
                          "--embeddings", str(tmp_path / "emb.svw"),
                          "--trials", str(tmp_path / "trials.txt"), "--out", str(out)]
                         + ["--scores", str(tmp_path / "raw.scores")] * (command == "snorm")) == 2
-        assert capsys.readouterr().err == "error: bad backend file: missing cohort.means\n"
+        assert capsys.readouterr().err == (
+            f"error: bad backend file: missing cohort.means: {tmp_path / 'backend.svw'}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, content, message", [
@@ -488,6 +492,89 @@ class TestPipelineChain:
             assert err.count(str(corpus / "b_bad.wav")) == 1 and "a_good" not in err
 
 
+def write_backend(path, kind: str, dim: int = 4) -> None:
+    """A small valid cosine or PLDA backend file for ``dim``-dimensional embeddings."""
+    rng = np.random.default_rng(3)
+    model = (backend.Backend("cosine", np.zeros(dim)) if kind == "cosine" else backend.Backend(
+        "plda", np.zeros(dim), np.eye(dim),
+        backend.PldaModel(np.zeros(dim), np.ones((dim, 1)), np.ones((dim, 1)), np.ones(dim))))
+    backend.save_backend(path, model, rng.standard_normal((3, dim)))
+
+
+class TestSvw1Inputs:
+    """The SVW1 inputs (embeddings, backends, weights) name their file in data errors."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("score", "--embeddings"), ("score", "--backend-file"),
+        ("snorm", "--embeddings"), ("snorm", "--backend-file"),
+        ("train_plda", "--embeddings"), ("embed", "--weights"),
+    ])
+    def test_truncated_file_is_named_once(self, tmp_path, capsys, command, flag):
+        from svkit import nnet, tensorio
+
+        files = {"--backend-file": tmp_path / "backend.svw", "--embeddings": tmp_path / "emb.svw",
+                 "--trials": tmp_path / "trials.txt", "--scores": tmp_path / "raw.scores",
+                 "--labels": tmp_path / "labels.txt", "--weights": tmp_path / "weights.svw",
+                 "--feats-dir": tmp_path / "feats"}
+        write_backend(files["--backend-file"], "cosine")
+        tensorio.write_tensors(files["--embeddings"], {"a": np.ones(4), "b": -np.ones(4)})
+        save_trials(files["--trials"], TrialList(["a"], ["b"]))
+        save_scores(files["--scores"], ScoreSet(["a"], ["b"], np.array([0.5])))
+        files["--labels"].write_text("a s0\nb s1\n")
+        tensorio.write_tensors(files["--weights"],
+                               nnet.init_weights(nnet.make_spec("tdnn-standard", 40, 2), 1))
+        files["--feats-dir"].mkdir()
+        tensorio.write_feature_matrix(files["--feats-dir"] / "u0.feat", np.zeros((20, 40)))
+        bad = files[flag]
+        bad.write_bytes(bad.read_bytes()[:-3])
+        inputs = {"score": ("--backend-file", "--embeddings", "--trials"),
+                  "snorm": ("--backend-file", "--embeddings", "--trials", "--scores"),
+                  "train_plda": ("--embeddings", "--labels"),
+                  "embed": ("--feats-dir", "--weights")}[command]
+        out = tmp_path / "out"
+        argv = [command, *(str(x) for f in inputs for x in (f, files[f])), "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: bad weight file: truncated record: {bad}\n"
+        assert err.count(str(bad)) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["score", "snorm"])
+    @pytest.mark.parametrize("kind", ["cosine", "plda"])
+    def test_embedding_of_another_shape_than_the_backend_is_data_error(self, tmp_path, capsys,
+                                                                      command, kind):
+        from svkit import tensorio
+
+        write_backend(tmp_path / "backend.svw", kind)
+        tensorio.write_tensors(tmp_path / "emb.svw", {"a": np.ones(4), "b": np.ones(3)})
+        save_trials(tmp_path / "trials.txt", TrialList(["a"], ["b"]))
+        save_scores(tmp_path / "raw.scores", ScoreSet(["a"], ["b"], np.array([0.5])))
+        out = tmp_path / "out.scores"
+        assert cli.main([command, "--backend-file", str(tmp_path / "backend.svw"),
+                         "--embeddings", str(tmp_path / "emb.svw"),
+                         "--trials", str(tmp_path / "trials.txt"), "--out", str(out)]
+                        + ["--scores", str(tmp_path / "raw.scores")] * (command == "snorm")) == 2
+        assert capsys.readouterr().err == (
+            "error: utterance b has an embedding of shape (3,), "
+            "but the backend scores shape (4,)\n")
+        assert not out.exists()
+
+    def test_train_plda_names_the_first_embedding_of_another_shape(self, tmp_path, capsys):
+        from svkit import tensorio
+
+        emb, labels = tmp_path / "emb.svw", tmp_path / "labels.txt"
+        rng = np.random.default_rng(0)
+        tensorio.write_tensors(emb, {"u0": rng.standard_normal(4), "u1": rng.standard_normal(4),
+                                     "u2": rng.standard_normal(3), "u3": rng.standard_normal(5)})
+        labels.write_text("u0 s0\nu1 s1\nu2 s0\nu3 s1\n")
+        out = tmp_path / "backend.svw"
+        assert cli.main(["train_plda", "--embeddings", str(emb), "--labels", str(labels),
+                         "--backend", "cosine", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: utterance u2 has an embedding of shape (3,), not (4,) like u0: {emb}\n")
+        assert not out.exists()
+
+
 class TestEmbedCommand:
     @pytest.mark.parametrize("arch", ["resnet34", "tdnn-standard"])
     def test_rows_are_the_float32_forward_pass_and_rerun_is_byte_identical(self, tmp_path, arch):
@@ -590,6 +677,27 @@ class TestEmbedCommand:
         assert not out.exists()
 
 
+class TestReadme:
+    def test_command_line_walkthrough_runs(self, tmp_path, monkeypatch, capsys):
+        # every svkit line of the README's sh blocks, continuation lines joined
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        lines = [line.strip() for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+                 for line in block.replace("\\\n", " ").splitlines()]
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("svkit ")]
+        assert [argv[0] for argv in commands] == [
+            "synth", "feats", "vad", "embed", "train_plda", "score", "snorm", "calibrate", "eval"]
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            capsys.readouterr()
+            assert cli.main(argv) == 0, argv
+        args = cli.build_parser().parse_args(commands[-1])
+        scores, key = load_scores(args.scores), load_trials(args.key)
+        params = metrics.DcfParams(PipelineConfig().dcf_p_target)
+        expected = metrics.format_metrics(metrics.compute_eer(scores, key),
+                                          metrics.compute_min_dcf(scores, key, params), params)
+        assert capsys.readouterr().out == expected + "\n"
+
+
 @pytest.fixture(scope="module")
 def small_corpus(tmp_path_factory):
     """A two-utterance corpus with its default features and VAD masks."""
@@ -622,7 +730,7 @@ class TestFeatsCommand:
             if apply_stmn:
                 expected = frontend.stmn(expected)
             got = tensorio.read_feature_matrix(tmp_path / "feats" / f"{path.stem}.feat")
-            assert np.array_equal(got, expected.data.astype(np.float32))
+            assert np.array_equal(got, expected.astype(np.float32))
 
 
 SYNTH = ["synth", "--out-dir", "o"]

@@ -150,7 +150,7 @@ def test_backend_file_loads_or_raises_value_error(fuzz_path, tensors):
     except ValueError:
         return
     dim = model.plda.dim if model.kind == "plda" else len(model.mean)
-    assert cohort is None or cohort.shape[1] == dim
+    assert cohort.ndim == 2 and cohort.shape[1] == dim
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ class TestGenToyCorpus:
         mean_peak = {}
         for wave, spk in zip(waves, labels):
             feats = fe.fbank(wave)
-            mean_peak.setdefault(spk, []).append(feats.data.mean(axis=0).argmax())
+            mean_peak.setdefault(spk, []).append(feats.mean(axis=0).argmax())
         peaks0 = set(mean_peak["spk000"])
         peaks1 = set(mean_peak["spk001"])
         assert max(peaks0) < min(peaks1)  # 500 Hz resonance peaks below 2 kHz one
