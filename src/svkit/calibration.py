@@ -7,13 +7,13 @@ of sigmoid(w . s + b + logit(prior)) by deterministic gradient descent
 with backtracking line search, starting from w = 0, b = 0. The objective
 is convex, but the descent stops when a step improves the cross-entropy
 by less than 1e-10 or after 1000 steps, so it can end short of the
-optimum.
+optimum. Each evaluation takes one exp per trial: e = exp(-|a|) gives
+both softplus(a) = max(a, 0) + log1p(e) and sigmoid(a).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .trials import ScoreSet, TrialList, same_trials
 
@@ -74,13 +74,15 @@ def _logit(p: float) -> float:
     return float(np.log(p / (1.0 - p)))
 
 
-def _cross_entropy(activations: np.ndarray, targets: np.ndarray, prior: float) -> float:
-    tar = activations[targets]
-    non = activations[~targets]
-    return float(
-        prior * np.mean(np.logaddexp(0.0, -tar))
-        + (1.0 - prior) * np.mean(np.logaddexp(0.0, non))
-    )
+def _softplus(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(1 + exp(a)), as np.logaddexp(0, a) evaluates it, and e = exp(-|a|)."""
+    e = np.exp(-np.abs(a))
+    return np.maximum(a, 0.0) + np.log1p(e), e
+
+
+def _sigmoid(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-a)) from e = exp(-|a|): 1 / (1 + e) where a >= 0, else e / (1 + e)."""
+    return np.maximum(e, a >= 0.0) / (1.0 + e)
 
 
 def train_logreg(scores: np.ndarray, targets: np.ndarray, prior: float = 0.5) -> FusionModel:
@@ -88,7 +90,10 @@ def train_logreg(scores: np.ndarray, targets: np.ndarray, prior: float = 0.5) ->
 
     scores is (trials x systems); targets is a boolean key. Training is
     deterministic and stops when the cross-entropy improves by less than
-    1e-10 or after 1000 iterations.
+    1e-10 or after 1000 iterations. The trials are split by class once:
+    target columns come first and are negated, so every trial's term is
+    its class weight times softplus(a), and the gradient reuses the
+    activations and exp(-|a|) of the point the line search accepted.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim == 1:
@@ -103,30 +108,31 @@ def train_logreg(scores: np.ndarray, targets: np.ndarray, prior: float = 0.5) ->
 
     n_tar = int(targets.sum())
     n_non = len(targets) - n_tar
-    offset0 = _logit(prior)
-    params = np.zeros(scores.shape[1] + 1)
+    # one row per parameter (the weights, then the offset), one column per trial
+    x = np.column_stack([np.concatenate([scores[targets], scores[~targets]]),
+                         np.ones(len(targets))]).T * np.repeat([-1.0, 1.0], [n_tar, n_non])
+    weight = np.repeat([prior / n_tar, (1.0 - prior) / n_non], [n_tar, n_non])
+    weighted_x = x * weight
+    shift = np.zeros(len(x))
+    shift[-1] = _logit(prior)  # the offset row is +-1, so it carries +-logit(prior)
 
-    def objective(p):
-        act = scores @ p[:-1] + p[-1] + offset0
-        return _cross_entropy(act, targets, prior)
+    def evaluate(p):
+        """Activations, exp(-|activations|) and the cross-entropy at p."""
+        act = (p + shift) @ x
+        terms, e = _softplus(act)
+        return act, e, float(weight @ terms)
 
-    def gradient(p):
-        act = scores @ p[:-1] + p[-1] + offset0
-        g_act = np.empty(len(act))
-        g_act[targets] = -prior * expit(-act[targets]) / n_tar
-        g_act[~targets] = (1.0 - prior) * expit(act[~targets]) / n_non
-        return np.concatenate([scores.T @ g_act, [g_act.sum()]])
-
-    ce = objective(params)
+    params = np.zeros(len(x))
+    act, e, ce = evaluate(params)
     for _ in range(MAX_ITERS):
-        grad = gradient(params)
+        grad = weighted_x @ _sigmoid(act, e)
         sq = float(grad @ grad)
         if sq == 0.0:
             break
         step = 1.0
         while step > 1e-20:
             candidate = params - step * grad
-            ce_new = objective(candidate)
+            act, e, ce_new = evaluate(candidate)
             if ce_new <= ce - ARMIJO_C * step * sq:
                 break
             step *= BACKTRACK
@@ -134,7 +140,6 @@ def train_logreg(scores: np.ndarray, targets: np.ndarray, prior: float = 0.5) ->
             break
         params = candidate
         if ce - ce_new < CE_TOL:
-            ce = ce_new
             break
         ce = ce_new
     return FusionModel(tuple(params[:-1]), float(params[-1]))

@@ -141,10 +141,11 @@ def cmd_embed(args) -> int:
         weights = _load_named(tensorio.read_tensors, args.weights)
         spec = nnet.make_spec(args.arch, dim, nnet.num_classes_of(args.arch, weights),
                               cfg.embedding_dim or None)
+        with _naming(args.weights):  # tensors that do not fit the network
+            net = nnet.prepare(spec, weights)
     else:
         spec = nnet.make_spec(args.arch, dim, 2, cfg.embedding_dim or None)
-        weights = nnet.init_weights(spec, args.seed)
-    net = nnet.prepare(spec, weights)
+        net = nnet.prepare(spec, nnet.init_weights(spec, args.seed))
     out: dict[str, np.ndarray] = {}
     for path in feat_paths:
         with _naming(path):
@@ -166,10 +167,16 @@ def cmd_train_plda(args) -> int:
     embeddings = _load_named(tensorio.read_tensors, args.embeddings)
     labels_by_utt = _load_named(_read_labels, args.labels)
     utts = sorted(embeddings)
+    if not utts:
+        raise ValueError(f"no embeddings: {args.embeddings}")
     missing = [u for u in utts if u not in labels_by_utt]
     if missing:
         raise ValueError(f"no label for utterance {missing[0]}: {args.labels}")
     shapes = [embeddings[u].shape for u in utts]
+    for utt, shape in zip(utts, shapes):
+        if len(shape) != 1:
+            raise ValueError(f"utterance {utt} has an embedding of shape {shape}, not a vector: "
+                             f"{args.embeddings}")
     odd = [(u, shape) for u, shape in zip(utts, shapes) if shape != shapes[0]]
     if odd:
         raise ValueError(f"utterance {odd[0][0]} has an embedding of shape {odd[0][1]}, not "

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from svkit import calibration as cal
 from svkit import metrics as mt
@@ -122,6 +123,79 @@ class TestTrainLogreg:
         sset, key = llr_scores(3, 10, 10)
         with pytest.raises(ValueError, match="prior"):
             cal.train_logreg(sset.scores, key.labels, 1.0)
+
+
+def reference_logreg(scores, targets, prior):
+    """The masked logaddexp/expit descent that train_logreg replaced, kept as
+    the scalar reference with its own copy of the stop rules: its
+    (weights..., offset) and why it stopped."""
+    scores = np.asarray(scores, dtype=float).reshape(len(targets), -1)
+    n_tar, n_non = targets.sum(), (~targets).sum()
+    offset0 = np.log(prior / (1.0 - prior))
+
+    def objective(p):
+        act = scores @ p[:-1] + p[-1] + offset0
+        return (prior * np.mean(np.logaddexp(0.0, -act[targets]))
+                + (1.0 - prior) * np.mean(np.logaddexp(0.0, act[~targets])))
+
+    def gradient(p):
+        act = scores @ p[:-1] + p[-1] + offset0
+        g = np.empty(len(act))
+        g[targets] = -prior * expit(-act[targets]) / n_tar
+        g[~targets] = (1.0 - prior) * expit(act[~targets]) / n_non
+        return np.append(scores.T @ g, g.sum())
+
+    params = np.zeros(scores.shape[1] + 1)
+    ce = objective(params)
+    for _ in range(1000):
+        grad = gradient(params)
+        sq = grad @ grad
+        if sq == 0.0:
+            return params, "zero gradient"
+        step = 1.0
+        while step > 1e-20:
+            candidate = params - step * grad
+            ce_new = objective(candidate)
+            if ce_new <= ce - 1e-4 * step * sq:
+                break
+            step *= 0.5
+        else:
+            return params, "line search"
+        params = candidate
+        if ce - ce_new < 1e-10:
+            return params, "CE_TOL"
+        ce = ce_new
+    return params, "MAX_ITERS"
+
+
+class TestLogregOracle:
+    @pytest.mark.parametrize("prior", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("systems, stop", [(1, "CE_TOL"), (3, "MAX_ITERS")])
+    def test_matches_masked_reference_descent(self, systems, stop, prior):
+        rng = np.random.default_rng(systems)
+        labels = rng.random(300) < 0.3
+        scores = ((rng.standard_normal((300, systems)) + 2.0 * labels[:, None])
+                  * rng.uniform(0.5, 4.0, systems) + rng.uniform(-2.0, 2.0, systems))
+        expected, why = reference_logreg(scores, labels, prior)
+        assert why == stop
+        model = cal.train_logreg(scores, labels, prior)
+        np.testing.assert_allclose(model.weights + (model.offset,), expected, rtol=1e-9, atol=0)
+
+    def test_softplus_and_sigmoid_match_numpy_and_scipy(self):
+        a = np.concatenate([np.linspace(-1000.0, 1000.0, 20001),
+                            [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 36.7, -36.7]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            softplus, e = cal._softplus(a)
+            sigmoid = cal._sigmoid(a, e)
+        np.testing.assert_array_max_ulp(softplus, np.logaddexp(0.0, a), maxulp=4)
+        reference = expit(a)
+        normal = reference >= np.finfo(float).tiny
+        np.testing.assert_array_max_ulp(sigmoid[normal], reference[normal], maxulp=4)
+        # below a = -708.4 expit's 1 / (1 + exp(-a)) is subnormal, and 0 once
+        # exp(-a) overflows, while e / (1 + e) rounds to exp(a) itself
+        assert a[~normal].max() < -708.0
+        assert np.array_equal(sigmoid[~normal], np.exp(a[~normal]))
 
 
 class TestApplyFusion:

@@ -574,6 +574,28 @@ class TestSvw1Inputs:
             f"error: utterance u2 has an embedding of shape (3,), not (4,) like u0: {emb}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("tensors, message", [
+        ({f"u{i}": np.zeros((2, 4)) for i in range(4)},
+         "utterance u0 has an embedding of shape (2, 4), not a vector"),
+        ({"u0": np.zeros(4), "u1": np.zeros((2, 4)), "u2": np.zeros(4)},
+         "utterance u1 has an embedding of shape (2, 4), not a vector"),
+        ({}, "no embeddings"),
+    ], ids=["all-matrices", "one-matrix", "no-tensors"])
+    def test_train_plda_rejects_embeddings_that_are_not_vectors(self, tmp_path, capsys,
+                                                                tensors, message):
+        from svkit import tensorio
+
+        emb, labels = tmp_path / "emb.svw", tmp_path / "labels.txt"
+        tensorio.write_tensors(emb, tensors)
+        labels.write_text("u0 s0\nu1 s1\nu2 s0\nu3 s1\n")
+        out = tmp_path / "backend.svw"
+        assert cli.main(["train_plda", "--embeddings", str(emb), "--labels", str(labels),
+                         "--backend", "cosine", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}: {emb}\n"
+        assert err.count(str(emb)) == 1
+        assert not out.exists()
+
 
 class TestEmbedCommand:
     @pytest.mark.parametrize("arch", ["resnet34", "tdnn-standard"])
@@ -631,7 +653,8 @@ class TestEmbedCommand:
         assert cli.main(["embed", "--feats-dir", str(feats), "--arch", arch,
                          "--weights", str(tmp_path / "partial.svw"), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: weights mismatch: missing=['{classifier}'] extra=[]\n"
+        partial = tmp_path / "partial.svw"
+        assert err == f"error: weights mismatch: missing=['{classifier}'] extra=[]: {partial}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("bad, message", [
