@@ -18,13 +18,16 @@ plus GEMMs over the speakers, independent of the sessions per speaker.
 
 Preprocessing order is fixed: center, LDA, length-normalize for the PLDA
 path; centering only for the cosine path.
+
+``scipy.linalg`` is imported inside the four functions that factor
+matrices, so a process that loads this module for cosine scoring or
+file I/O does not load scipy.
 """
 
 import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import tensorio
 from .trials import ScoreSet, TrialList
@@ -84,6 +87,8 @@ class PldaModel:
         ``plus_mu`` = 2 plus mu. Directions with lambda = 0 have P = 0 and add
         nothing. A model whose within covariance is not positive definite
         raises ValueError at first use."""
+        import scipy.linalg
+
         if np.any(self.psi <= 0.0):
             raise ValueError("within covariance not positive definite")
         try:
@@ -103,6 +108,8 @@ class PldaModel:
 
 def _inverse(mat: np.ndarray, what: str) -> np.ndarray:
     """Inverse of a symmetric matrix from one Cholesky factor."""
+    import scipy.linalg
+
     try:
         cho = scipy.linalg.cho_factor(mat)
     except np.linalg.LinAlgError as exc:
@@ -142,6 +149,8 @@ def train_lda(embeddings: np.ndarray, labels) -> np.ndarray:
     eigenvectors are kept; directions beyond rank(S_b) come out of the
     same S_w-orthogonal basis.
     """
+    import scipy.linalg
+
     x = np.asarray(embeddings, dtype=np.float64)
     _, cls, counts = np.unique(np.asarray(labels), return_inverse=True, return_counts=True)
     if len(counts) < 2:
@@ -180,6 +189,8 @@ def train_plda(embeddings: np.ndarray, labels, cfg: BackendConfig = BackendConfi
     the per-speaker sums and the scatter matrix, so one iteration costs
     O(d^3) plus GEMMs over the speakers, whatever the sessions per speaker.
     """
+    import scipy.linalg
+
     x = np.asarray(embeddings, dtype=np.float64)
     n, d = x.shape
     rs, rc = cfg.rank_speaker, cfg.rank_channel

@@ -10,6 +10,7 @@ affine. The ResNet pools mean and standard deviation over time and taps
 the embedding before the Dense1 nonlinearity.
 """
 
+import functools
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -260,6 +261,12 @@ class Network:
     spec: NetworkSpec
     weights: Mapping[str, np.ndarray]
 
+    @functools.cached_property
+    def segment1_f64(self) -> np.ndarray:
+        """The TDNN's ``segment1.weight`` widened once to float64, the dtype of
+        the pooled statistics it multiplies."""
+        return self.weights["segment1.weight"].astype(np.float64, copy=False)
+
 
 def prepare(spec: NetworkSpec, weights: dict[str, np.ndarray]) -> Network:
     """Validate ``weights`` against ``spec`` once, for any number of forward passes."""
@@ -301,7 +308,7 @@ def forward_tdnn(frames: np.ndarray, net: Network) -> np.ndarray:
         y = _bn(np.maximum(y + w[f"{layer.name}.bias"], 0.0), w, f"{layer.name}.bn")
         x = y + x if layer.residual else y
     pooled = stats_pooling(x)  # float64 whatever the frames' dtype
-    return w["segment1.weight"].astype(pooled.dtype, copy=False) @ pooled + w["segment1.bias"]
+    return net.segment1_f64 @ pooled + w["segment1.bias"]
 
 
 def _conv2d(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:

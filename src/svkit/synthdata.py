@@ -9,7 +9,6 @@ or speakers never perturbs draws that already existed.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .backend import PldaModel, plda_llr
 from .frontend import Waveform
@@ -132,6 +131,8 @@ def _resonator(freq_hz: float, sample_rate: int, radius: float = 0.975):
 
 def gen_toy_corpus(spec: SynthSpec) -> tuple[list[Waveform], list[str]]:
     """Per-speaker resonant-filtered noise utterances with gain jitter."""
+    import scipy.signal  # only ``svkit synth`` needs it, and it loads much of scipy
+
     if spec.resonances_hz is None:
         freqs = np.linspace(400.0, 3600.0, spec.num_speakers)
     else:

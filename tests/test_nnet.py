@@ -341,6 +341,28 @@ class TestFloat32Path:
         assert out.dtype == (np.float32 if kind == "resnet34" else np.float64)
         assert np.array_equal(out, nnet.forward(x.astype(np.float32), net))
 
+    def test_segment1_widened_once_per_network(self):
+        spec = nnet.tdnn_spec("tdnn-standard", 40, 2)
+        w = nnet.init_weights(spec, 3)
+        net = nnet.prepare(spec, w)
+        x = np.random.default_rng(2).standard_normal((98, 40)).astype(np.float32)
+        out = nnet.forward_tdnn(x, net)
+        widened = net.segment1_f64
+        assert widened.dtype == np.float64
+        assert np.array_equal(widened, w["segment1.weight"])
+        assert np.array_equal(nnet.forward_tdnn(x, net), out)
+        assert net.segment1_f64 is widened  # the second pass reused the first one's copy
+        # the same product as widening on every call
+        h = x
+        for layer, _ in nnet._tdnn_layers(spec):
+            if layer.name == "stats":
+                break
+            y = nnet.splice(h, layer.offsets) @ w[f"{layer.name}.weight"].T
+            h = nnet._bn(np.maximum(y + w[f"{layer.name}.bias"], 0.0), w, f"{layer.name}.bn")
+        pooled = nnet.stats_pooling(h)
+        assert np.array_equal(out, w["segment1.weight"].astype(np.float64) @ pooled
+                              + w["segment1.bias"])
+
     def test_resnet_peak_memory_on_1000_frames(self):
         spec = nnet.resnet_spec(2)
         net = nnet.prepare(spec, nnet.init_weights(spec, 0))

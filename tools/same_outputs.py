@@ -10,6 +10,13 @@ it. The two trees' input and output files are then compared byte for
 byte. Every differing or missing file, failed step and failed check is
 listed, and the exit code is 1 if there is any, else 0. Nothing is
 written into either tree.
+
+A differing ``.scores`` file is listed with its largest absolute and
+relative score difference, and a differing SVW1 (``.svw``) or SVF1
+(``.svf``) file with its largest tensor difference, both read with the
+svkit of the repository this tool is in. So a change that moves outputs
+by rounding alone can be bounded with this tool. The relative difference
+of two values is |a - b| / max(|a|, |b|).
 """
 
 import argparse
@@ -19,6 +26,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 WORKLOADS = ("audio_2sys", "plda_score", "plda_train")
 BLAS_THREADS = "1"
@@ -47,6 +56,55 @@ def run_workload(tree: str, name: str, seed: int, work: str) -> None:
     print(json.dumps(failed))
 
 
+def _largest(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Largest absolute and relative difference of two equal-shaped arrays."""
+    a, b = a.astype(np.float64).ravel(), b.astype(np.float64).ravel()
+    diff = np.abs(a - b)
+    scale = np.maximum(np.abs(a), np.abs(b))
+    rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)
+    return float(diff.max(initial=0.0)), float(rel.max(initial=0.0))
+
+
+def how_far(a: Path, b: Path) -> str:
+    """How far score or tensor file ``b`` moved from ``a``, read with this
+    repository's svkit; an empty string for any other kind of file."""
+    from svkit import tensorio
+    from svkit.trials import load_scores
+
+    if a.suffix == ".scores":
+        sa, sb = load_scores(a), load_scores(b)
+        if (sa.enroll, sa.test) != (sb.enroll, sb.test):
+            return "the trial pairs differ"
+        big, rel = _largest(sa.scores, sb.scores)
+        return f"largest score difference {big:.3g} absolute, {rel:.3g} relative"
+    if a.suffix == ".svf":
+        ta, tb = {"": tensorio.read_feature_matrix(a)}, {"": tensorio.read_feature_matrix(b)}
+    elif a.suffix == ".svw":
+        ta, tb = tensorio.read_tensors(a), tensorio.read_tensors(b)
+    else:
+        return ""
+    if ta.keys() != tb.keys() or any(ta[k].shape != tb[k].shape for k in ta):
+        return "the tensor names or shapes differ"
+    moved = {k: _largest(ta[k], tb[k]) for k in ta}
+    worst = max(moved, key=lambda k: moved[k][0])
+    where = f" (tensor {worst!r})" if worst else ""
+    return (f"largest tensor difference {moved[worst][0]:.3g} absolute{where}, "
+            f"{max(rel for _, rel in moved.values()):.3g} relative")
+
+
+def describe(name: str, parent: Path, change: Path) -> str:
+    """One line for the file ``name`` that the two work directories do not
+    hold byte-identical."""
+    a, b = parent / name, change / name
+    if not a.is_file() or not b.is_file():
+        return f"{name} is missing from the {'parent' if not a.is_file() else 'change'}"
+    try:
+        moved = how_far(a, b)
+    except ValueError:  # a file svkit rejects
+        moved = "one side cannot be read"
+    return f"{name} differs" + (f": {moved}" if moved else "")
+
+
 def files_of(directory: Path) -> dict[str, bytes]:
     return {str(p.relative_to(directory)): p.read_bytes()
             for p in sorted(directory.rglob("*")) if p.is_file()}
@@ -57,6 +115,7 @@ def main() -> int:
     p.add_argument("trees", nargs=2, metavar="TREE", help="parent tree, then change tree")
     p.add_argument("--seeds", type=int, nargs="+", required=True)
     args = p.parse_args()
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))  # for how_far
     env = dict(os.environ, OPENBLAS_NUM_THREADS=BLAS_THREADS, OMP_NUM_THREADS=BLAS_THREADS,
                MKL_NUM_THREADS=BLAS_THREADS)
     child = ("import sys; sys.path.insert(0, sys.argv[1]); import same_outputs; "
@@ -78,10 +137,10 @@ def main() -> int:
                         continue
                     problems += [f"{side} {name} seed {seed}: {failure}"
                                  for failure in json.loads(proc.stdout.splitlines()[-1])]
-                    works.append(files_of(work))
+                    works.append(work)
                 if len(works) == 2:
-                    a, b = works
-                    problems += [f"{name} seed {seed}: {f} differs or is missing"
+                    a, b = (files_of(work) for work in works)
+                    problems += [f"{name} seed {seed}: {describe(f, *works)}"
                                  for f in sorted(a.keys() | b.keys()) if a.get(f) != b.get(f)]
                     print(f"{name} seed {seed}: compared {len(a.keys() | b.keys())} files",
                           file=sys.stderr)
