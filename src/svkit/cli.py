@@ -143,6 +143,7 @@ def cmd_embed(args) -> int:
                               cfg.embedding_dim or None)
         with _naming(args.weights):  # tensors that do not fit the network
             net = nnet.prepare(spec, weights)
+        del weights  # the network holds what its forward pass reads, not the file's tensors
     else:
         spec = nnet.make_spec(args.arch, dim, 2, cfg.embedding_dim or None)
         net = nnet.prepare(spec, nnet.init_weights(spec, args.seed))

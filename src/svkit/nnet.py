@@ -1,16 +1,14 @@
 """Embedding extractors: TDNN x-vector variants and the ResNet34 r-vector.
 
-Network specs are declarative layer descriptions; forward passes are
-deterministic numpy inference (batch norm always uses stored running
-statistics) in the dtype of the frames, float32 or float64: ``svkit
-embed`` runs float32 and float64 is the tests' reference. Frame layers
-of the TDNN apply splice, affine, ReLU, batch norm in that order; the
-embedding is the pre-activation output of the first segment-level
-affine. The ResNet pools mean and standard deviation over time and taps
-the embedding before the Dense1 nonlinearity.
+Network specs are declarative layer descriptions. ``prepare`` lays out once, in
+the weights' dtype, what inference reads; it is deterministic numpy, with batch
+norm on stored running statistics. ``svkit embed`` runs float32, the tests'
+reference float64. TDNN frame layers apply splice, affine, ReLU, batch norm; the
+embedding is the float64 pre-activation output of the first segment-level
+affine. The ResNet folds each batch norm into its conv, pools mean and standard
+deviation over time and taps the embedding before the Dense1 nonlinearity.
 """
 
-import functools
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -20,6 +18,7 @@ import numpy as np
 
 BN_EPS = 1e-5
 STD_FLOOR = 1e-10
+BN_STATS = ("scale", "shift", "mean", "var")
 
 TDNN_KINDS = ("tdnn-standard", "tdnn-big", "tdnn-big-residual")
 ARCH_KINDS = TDNN_KINDS + ("resnet34",)
@@ -139,8 +138,8 @@ def stats_pooling(frames: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Layer walks and the tensor inventory. Each architecture has one walk, which
-# the inventory, the shape audits and the forward passes all iterate.
+# Layer walks and the tensor inventory. The inventory, the shape audits, prepare
+# and the forward passes iterate one walk per architecture (TDNN: its frame layers).
 
 
 def _tdnn_layers(spec: TdnnSpec) -> Iterator[tuple[TdnnLayer, int]]:
@@ -184,10 +183,6 @@ def _resnet_blocks(spec: ResnetSpec, time: int = 1) -> Iterator[_ResBlock]:
             in_ch = ch
 
 
-def _bn_names(prefix: str, dim: int) -> dict[str, tuple[int, ...]]:
-    return {f"{prefix}.{stat}": (dim,) for stat in ("scale", "shift", "mean", "var")}
-
-
 def _tdnn_tensor_shapes(spec: TdnnSpec) -> dict[str, tuple[int, ...]]:
     shapes: dict[str, tuple[int, ...]] = {}
     for layer, in_dim in _tdnn_layers(spec):
@@ -196,33 +191,33 @@ def _tdnn_tensor_shapes(spec: TdnnSpec) -> dict[str, tuple[int, ...]]:
         shapes[f"{layer.name}.weight"] = (layer.out_dim, in_dim)
         shapes[f"{layer.name}.bias"] = (layer.out_dim,)
         if layer.name != "softmax":
-            shapes.update(_bn_names(f"{layer.name}.bn", layer.out_dim))
+            shapes.update({f"{layer.name}.bn.{stat}": (layer.out_dim,) for stat in BN_STATS})
     return shapes
+
+
+def _resnet_convs(spec: ResnetSpec) -> Iterator[tuple[str, str, tuple[int, ...]]]:
+    """(conv, the batch norm after it, kernel shape) from the stem to the last block."""
+    yield "conv1", "conv1.bn", (spec.stem_channels, 1, 3, 3)
+    for blk in _resnet_blocks(spec):
+        p = blk.name
+        yield f"{p}.conv1", f"{p}.bn1", (blk.out_ch, blk.in_ch, 3, 3)
+        yield f"{p}.conv2", f"{p}.bn2", (blk.out_ch, blk.out_ch, 3, 3)
+        if blk.proj:
+            yield f"{p}.proj", f"{p}.proj_bn", (blk.out_ch, blk.in_ch, 1, 1)
 
 
 def _resnet_tensor_shapes(spec: ResnetSpec) -> dict[str, tuple[int, ...]]:
-    shapes: dict[str, tuple[int, ...]] = {"conv1.weight": (spec.stem_channels, 1, 3, 3)}
-    shapes.update(_bn_names("conv1.bn", spec.stem_channels))
-    for blk in _resnet_blocks(spec):
-        p = blk.name
-        shapes[f"{p}.conv1.weight"] = (blk.out_ch, blk.in_ch, 3, 3)
-        shapes.update(_bn_names(f"{p}.bn1", blk.out_ch))
-        shapes[f"{p}.conv2.weight"] = (blk.out_ch, blk.out_ch, 3, 3)
-        shapes.update(_bn_names(f"{p}.bn2", blk.out_ch))
-        if blk.proj:
-            shapes[f"{p}.proj.weight"] = (blk.out_ch, blk.in_ch, 1, 1)
-            shapes.update(_bn_names(f"{p}.proj_bn", blk.out_ch))
-    shapes["dense1.weight"] = (spec.embedding_dim, dict(resnet_shape_audit(spec))["flatten"][0])
-    shapes["dense1.bias"] = (spec.embedding_dim,)
-    shapes["dense2.weight"] = (spec.num_classes, spec.embedding_dim)
-    shapes["dense2.bias"] = (spec.num_classes,)
-    return shapes
+    shapes: dict[str, tuple[int, ...]] = {}
+    for conv, bn, shape in _resnet_convs(spec):
+        shapes[f"{conv}.weight"] = shape
+        shapes.update({f"{bn}.{stat}": shape[:1] for stat in BN_STATS})
+    emb, flat = spec.embedding_dim, dict(resnet_shape_audit(spec))["flatten"][0]
+    return shapes | {"dense1.weight": (emb, flat), "dense1.bias": (emb,),
+                     "dense2.weight": (spec.num_classes, emb), "dense2.bias": (spec.num_classes,)}
 
 
 def tensor_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
-    if isinstance(spec, TdnnSpec):
-        return _tdnn_tensor_shapes(spec)
-    return _resnet_tensor_shapes(spec)
+    return (_tdnn_tensor_shapes if isinstance(spec, TdnnSpec) else _resnet_tensor_shapes)(spec)
 
 
 def init_weights(spec: NetworkSpec, seed: int) -> dict[str, np.ndarray]:
@@ -256,71 +251,86 @@ def validate_weights(spec: NetworkSpec, weights: dict[str, np.ndarray]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Network:
-    """A spec and a read-only mapping of weights checked against it; see ``prepare``."""
+    """A spec and, by layer name, the read-only tensors its forward pass reads; see ``prepare``."""
 
     spec: NetworkSpec
-    weights: Mapping[str, np.ndarray]
+    dtype: np.dtype
+    layers: Mapping[str, tuple[np.ndarray, ...]]
 
-    @functools.cached_property
-    def segment1_f64(self) -> np.ndarray:
-        """The TDNN's ``segment1.weight`` widened once to float64, the dtype of
-        the pooled statistics it multiplies."""
-        return self.weights["segment1.weight"].astype(np.float64, copy=False)
+
+def _bn_stats(weights: Mapping[str, np.ndarray], prefix: str, dtype) -> tuple[np.ndarray, ...]:
+    """(mean, inv, shift) of batch norm ``prefix`` in ``dtype``: y = (x - mean) inv + shift."""
+    scale, shift, mean, var = (weights[f"{prefix}.{s}"].astype(dtype, copy=False) for s in BN_STATS)
+    return mean, scale / np.sqrt(var + BN_EPS), shift
+
+
+def _affine(weights: Mapping[str, np.ndarray], name: str, dtype) -> tuple[np.ndarray, ...]:
+    return tuple(weights[f"{name}.{part}"].astype(dtype, copy=False) for part in ("weight", "bias"))
 
 
 def prepare(spec: NetworkSpec, weights: dict[str, np.ndarray]) -> Network:
-    """Validate ``weights`` against ``spec`` once, for any number of forward passes."""
+    """Validate ``weights`` against ``spec`` once and lay out, in their dtype, what the
+    forward passes read. A ResNet conv -> batch norm pair becomes its kernel, each
+    output row scaled by inv (in float64, with no float64 copy of the kernel), and a
+    bias of shift - mean inv: exact, since the zero padding comes before the conv."""
     validate_weights(spec, weights)
-    return Network(spec, MappingProxyType(dict(weights)))
+    dtype = np.result_type(*{w.dtype for w in weights.values()})
+    layers: dict[str, tuple[np.ndarray, ...]] = {}
+    if isinstance(spec, TdnnSpec):
+        for layer in spec.frame_layers:
+            layers[layer.name] = (*_affine(weights, layer.name, dtype),
+                                  *_bn_stats(weights, f"{layer.name}.bn", dtype))
+        layers["segment1"] = _affine(weights, "segment1", np.float64)  # as the pooled statistics
+    else:
+        for conv, bn, shape in _resnet_convs(spec):
+            mean, inv, shift = _bn_stats(weights, bn, np.float64)
+            w = weights[f"{conv}.weight"].reshape(shape[0], -1)
+            kern = np.multiply(w, inv[:, None], out=np.empty(w.shape, dtype), casting="unsafe")
+            layers[conv] = (kern, (shift - mean * inv).astype(dtype))
+        layers["dense1"] = _affine(weights, "dense1", dtype)
+    return Network(spec, dtype, MappingProxyType(layers))
 
 
 # ---------------------------------------------------------------------------
-# Forward passes
+# Forward passes: the frames are cast to the network's dtype, then arithmetic only
 
 
-def _bn(x: np.ndarray, w: Mapping[str, np.ndarray], prefix: str) -> np.ndarray:
-    scale, var, mean, shift = (w[f"{prefix}.{stat}"].astype(x.dtype, copy=False)
-                               for stat in ("scale", "var", "mean", "shift"))
-    inv = scale / np.sqrt(var + BN_EPS)
-    if x.ndim == 3:  # (channels, freq, time)
-        return (x - mean[:, None, None]) * inv[:, None, None] + shift[:, None, None]
-    return (x - mean) * inv + shift
-
-
-def _check_frames(frames: np.ndarray, dim: int, min_frames: int) -> None:
+def _frames_in(frames: np.ndarray, net: Network, dim: int, min_frames: int) -> np.ndarray:
     if not isinstance(frames, np.ndarray) or frames.dtype not in (np.float32, np.float64):
         raise ValueError("frames must be a float32 or float64 array")
     if frames.ndim != 2 or frames.shape[1] != dim:
         raise ValueError("feature dim mismatch")
     if frames.shape[0] < min_frames:
         raise ValueError(f"too few frames: need at least {min_frames}")
+    return frames.astype(net.dtype, copy=False)
 
 
 def forward_tdnn(frames: np.ndarray, net: Network) -> np.ndarray:
-    """Embedding of a float32 or float64 feature matrix (frames x input_dim)."""
-    spec, w = net.spec, net.weights
-    _check_frames(frames, spec.input_dim, 1)
-    x = frames
-    for layer, _ in _tdnn_layers(spec):
-        if layer.name == "stats":  # the frame layers are done
-            break
-        y = splice(x, layer.offsets) @ w[f"{layer.name}.weight"].astype(x.dtype, copy=False).T
-        y = _bn(np.maximum(y + w[f"{layer.name}.bias"], 0.0), w, f"{layer.name}.bn")
+    """Float64 embedding of a float32 or float64 feature matrix (frames x input_dim)."""
+    x = _frames_in(frames, net, net.spec.input_dim, 1)
+    for layer in net.spec.frame_layers:
+        weight, bias, mean, inv, shift = net.layers[layer.name]
+        y = (np.maximum(splice(x, layer.offsets) @ weight.T + bias, 0.0) - mean) * inv + shift
         x = y + x if layer.residual else y
-    pooled = stats_pooling(x)  # float64 whatever the frames' dtype
-    return net.segment1_f64 @ pooled + w["segment1.bias"]
+    weight, bias = net.layers["segment1"]
+    return weight @ stats_pooling(x) + bias
 
 
-def _conv2d(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
-    """3x3 convolution with padding 1; x is (channels, freq, time).
+def _gemm(kern: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``kern`` times ``x`` (c_in [x taps] x freq x time) plus ``bias``, per output channel."""
+    *_, h, t = x.shape
+    return (kern @ x.reshape(kern.shape[1], h * t) + bias[:, None]).reshape(-1, h, t)
+
+
+def _conv2d(x: np.ndarray, kern: np.ndarray, bias: np.ndarray, stride: int) -> np.ndarray:
+    """3x3 convolution with padding 1, plus a bias; x is (channels, freq, time).
 
     Lowered to one GEMM (im2col): the nine shifted, strided views of the
     padded input are copied into a (c_in, 3, 3, h_out, t_out) buffer, which
-    the (c_out, 9 c_in) weight matrix multiplies.
+    the (c_out, 9 c_in) kernel multiplies.
     """
     c_in, h, t = x.shape
-    h_out = (h - 1) // stride + 1
-    t_out = (t - 1) // stride + 1
+    h_out, t_out = (h - 1) // stride + 1, (t - 1) // stride + 1
     xp = np.zeros((c_in, h + 2, t + 2), dtype=x.dtype)
     xp[:, 1:-1, 1:-1] = x
     cols = np.empty((c_in, 3, 3, h_out, t_out), dtype=x.dtype)
@@ -328,40 +338,30 @@ def _conv2d(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
         for dj in range(3):
             cols[:, di, dj] = xp[:, di : di + stride * (h_out - 1) + 1 : stride,
                                  dj : dj + stride * (t_out - 1) + 1 : stride]
-    kern = w.reshape(w.shape[0], 9 * c_in).astype(x.dtype, copy=False)
-    return (kern @ cols.reshape(9 * c_in, h_out * t_out)).reshape(w.shape[0], h_out, t_out)
-
-
-def _conv1x1(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
-    sub = x[:, ::stride, ::stride]
-    return np.tensordot(w[:, :, 0, 0].astype(x.dtype, copy=False), sub, axes=(1, 0))
+    return _gemm(kern, bias, cols)
 
 
 def forward_resnet(frames: np.ndarray, net: Network) -> np.ndarray:
-    """Embedding of a float32 or float64 feature matrix (frames x input_freq)."""
-    spec, w = net.spec, net.weights
-    _check_frames(frames, spec.input_freq, 8)
-    x = frames.T[None, :, :]  # (1 channel, freq, time)
-    x = np.maximum(_bn(_conv2d(x, w["conv1.weight"], 1), w, "conv1.bn"), 0.0)
-    for blk in _resnet_blocks(spec):
+    """Embedding, in the network's dtype, of a feature matrix (frames x input_freq)."""
+    t = net.layers
+    x = _frames_in(frames, net, net.spec.input_freq, 8).T[None, :, :]  # (1 channel, freq, time)
+    x = np.maximum(_conv2d(x, *t["conv1"], 1), 0.0)
+    for blk in _resnet_blocks(net.spec):
         p = blk.name
-        y = _conv2d(x, w[f"{p}.conv1.weight"], blk.stride)
-        y = np.maximum(_bn(y, w, f"{p}.bn1"), 0.0)
-        y = _bn(_conv2d(y, w[f"{p}.conv2.weight"], 1), w, f"{p}.bn2")
+        y = _conv2d(np.maximum(_conv2d(x, *t[f"{p}.conv1"], blk.stride), 0.0), *t[f"{p}.conv2"], 1)
         if blk.proj:  # project the shortcut to the block's output shape
-            x = _bn(_conv1x1(x, w[f"{p}.proj.weight"], blk.stride), w, f"{p}.proj_bn")
+            x = _gemm(*t[f"{p}.proj"], x[:, ::blk.stride, ::blk.stride])
         x = np.maximum(y + x, 0.0)
     mean = np.mean(x, axis=2)  # (channels, freq)
     centered = x - mean[:, :, None]
     std = np.sqrt(np.maximum(np.mean(centered * centered, axis=2), 0.0) + STD_FLOOR)
     pooled = np.concatenate([mean.T, std.T], axis=0)  # (2*freq, channels)
-    return w["dense1.weight"].astype(x.dtype, copy=False) @ pooled.ravel() + w["dense1.bias"]
+    weight, bias = t["dense1"]
+    return weight @ pooled.ravel() + bias
 
 
 def forward(frames: np.ndarray, net: Network) -> np.ndarray:
-    if isinstance(net.spec, TdnnSpec):
-        return forward_tdnn(frames, net)
-    return forward_resnet(frames, net)
+    return (forward_tdnn if isinstance(net.spec, TdnnSpec) else forward_resnet)(frames, net)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import struct
 import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -19,6 +20,12 @@ MICRO_RESNET = nnet.ResnetSpec(
     stem_channels=4, stage_blocks=(1,), stage_channels=(4,), stage_strides=(1,),
 )
 
+# a stride-2 block without a change of channels, so with a projection shortcut
+STRIDED_RESNET = nnet.ResnetSpec(
+    "resnet-custom", input_freq=5, num_classes=2, embedding_dim=3, stem_channels=4,
+    stage_blocks=(1, 1), stage_channels=(4, 4), stage_strides=(1, 2),
+)
+
 
 def bn_ref(x, w, prefix):
     scale = w[f"{prefix}.scale"].astype(float)
@@ -29,6 +36,51 @@ def bn_ref(x, w, prefix):
     if x.ndim == 3:
         return (x - mean[:, None, None]) * factor[:, None, None] + shift[:, None, None]
     return (x - mean) * factor + shift
+
+
+def float64(w):
+    """``w`` widened to float64; a network prepared from it computes in float64."""
+    return {k: v.astype(np.float64) for k, v in w.items()}
+
+
+def random_bn(w, seed):
+    """``w`` in float64 with every batch norm's scale, shift, mean and var drawn at
+    random, so that folding a norm into its conv is far from the identity."""
+    rng = np.random.default_rng(seed)
+    out = float64(w)
+    for name, v in out.items():
+        stat = name.rsplit(".", 1)[1]
+        if stat in ("scale", "var"):
+            out[name] = rng.uniform(0.5, 2.0, v.shape)
+        elif stat in ("shift", "mean"):
+            out[name] = rng.normal(0.0, 0.5, v.shape)
+    return out
+
+
+def held_nbytes(obj):
+    """Bytes of the numpy arrays ``obj`` holds through its attributes, mappings and tuples."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, Mapping):
+        return sum(held_nbytes(v) for v in obj.values())
+    if isinstance(obj, (tuple, list)):
+        return sum(held_nbytes(v) for v in obj)
+    return sum(held_nbytes(v) for v in vars(obj).values()) if hasattr(obj, "__dict__") else 0
+
+
+def tdnn_oracle(x, spec, w):
+    """Float64 TDNN forward: explicit clamped splice, affine, ReLU, batch norm, pooling."""
+    n = len(x)
+    h = x.astype(float)
+    for layer in spec.frame_layers:
+        spliced = np.concatenate([h[np.clip(np.arange(n) + o, 0, n - 1)] for o in layer.offsets],
+                                 axis=1)
+        y = np.maximum(spliced @ w[f"{layer.name}.weight"].astype(float).T
+                       + w[f"{layer.name}.bias"].astype(float), 0.0)
+        y = bn_ref(y, w, f"{layer.name}.bn")
+        h = y + h if layer.residual else y
+    return w["segment1.weight"].astype(float) @ nnet.stats_pooling(h) \
+        + w["segment1.bias"].astype(float)
 
 
 class TestSplice:
@@ -204,8 +256,20 @@ class TestForwardTdnn:
                               + w["frame1.bias"].astype(float), 0.0), w, "frame1.bn")
         expected = w["segment1.weight"].astype(float) @ nnet.stats_pooling(h) \
             + w["segment1.bias"].astype(float)
-        np.testing.assert_allclose(nnet.forward_tdnn(x, nnet.prepare(spec, w)), expected,
+        np.testing.assert_allclose(nnet.forward_tdnn(x, nnet.prepare(spec, float64(w))), expected,
                                    atol=1e-12)
+
+    def test_batch_norm_with_random_statistics_matches_oracle(self):
+        spec = nnet.TdnnSpec(
+            "tdnn-custom", 3, 2,
+            (nnet.TdnnLayer("frame1", (-1, 0, 1), 3),
+             nnet.TdnnLayer("frame2", (0,), 3, residual=True)),
+            embedding_dim=4, segment2_dim=4,
+        )
+        w = random_bn(nnet.init_weights(spec, 5), 6)
+        x = np.random.default_rng(7).standard_normal((11, 3))
+        np.testing.assert_allclose(nnet.forward_tdnn(x, nnet.prepare(spec, w)),
+                                   tdnn_oracle(x, spec, w), rtol=0, atol=1e-12)
 
 
 def conv_oracle(x, kern, stride):
@@ -261,9 +325,11 @@ class TestConv2d:
         rng = np.random.default_rng(11 + stride)
         x = rng.standard_normal((3, 5, 7))
         kern = rng.standard_normal((4, 3, 3, 3))
-        out = nnet._conv2d(x, kern, stride)
+        bias = rng.standard_normal(4)
+        out = nnet._conv2d(x, kern.reshape(4, 27), bias, stride)  # the GEMM-shaped kernel
         assert out.shape == {1: (4, 5, 7), 2: (4, 3, 4)}[stride]
-        np.testing.assert_allclose(out, conv_oracle(x, kern, stride), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out, conv_oracle(x, kern, stride) + bias[:, None, None],
+                                   rtol=0, atol=1e-12)
 
 
 class TestForwardResnet:
@@ -287,17 +353,21 @@ class TestForwardResnet:
         np.testing.assert_allclose(out, expected, atol=1e-5)
 
     def test_stride_without_channel_change_projects_shortcut(self):
-        spec = nnet.ResnetSpec(
-            "resnet-custom", input_freq=5, num_classes=2, embedding_dim=3, stem_channels=4,
-            stage_blocks=(1, 1), stage_channels=(4, 4), stage_strides=(1, 2),
-        )
+        spec = STRIDED_RESNET
         shapes = nnet.tensor_shapes(spec)
         assert shapes["stage2.block0.proj.weight"] == (4, 4, 1, 1)
         assert "stage1.block0.proj.weight" not in shapes
         w = nnet.init_weights(spec, 4)
         frames = np.random.default_rng(6).standard_normal((9, 5))
-        np.testing.assert_allclose(nnet.forward_resnet(frames, nnet.prepare(spec, w)),
+        np.testing.assert_allclose(nnet.forward_resnet(frames, nnet.prepare(spec, float64(w))),
                                    resnet_oracle(frames, spec, w), rtol=0, atol=1e-10)
+
+    def test_folded_batch_norm_with_random_statistics_matches_oracle(self):
+        # stem, both convs of a block and the projection shortcut each fold a norm
+        w = random_bn(nnet.init_weights(STRIDED_RESNET, 4), 8)
+        frames = np.random.default_rng(6).standard_normal((9, 5))
+        np.testing.assert_allclose(nnet.forward_resnet(frames, nnet.prepare(STRIDED_RESNET, w)),
+                                   resnet_oracle(frames, STRIDED_RESNET, w), rtol=0, atol=1e-10)
 
     def test_zero_dense_zero_embedding(self):
         w = nnet.init_weights(MICRO_RESNET, 1)
@@ -332,36 +402,43 @@ class TestFloat32Path:
     @pytest.mark.parametrize("kind", ["resnet34", "tdnn-standard", "tdnn-big-residual"])
     def test_close_to_float64_and_deterministic(self, kind, num_frames):
         spec = nnet.make_spec(kind, 40, 2)
-        net = nnet.prepare(spec, nnet.init_weights(spec, 5))
+        w = nnet.init_weights(spec, 5)
+        net = nnet.prepare(spec, w)
+        assert net.dtype == np.float32
         x = np.random.default_rng(num_frames).standard_normal((num_frames, 40))
-        ref = nnet.forward(x, net)
+        ref = nnet.forward(x, nnet.prepare(spec, float64(w)))
         out = nnet.forward(x.astype(np.float32), net)
         assert np.max(np.abs(out - ref)) / np.max(np.abs(ref)) <= 1e-5
         # TDNN statistics pooling and segment1 stay float64
         assert out.dtype == (np.float32 if kind == "resnet34" else np.float64)
         assert np.array_equal(out, nnet.forward(x.astype(np.float32), net))
+        assert np.array_equal(out, nnet.forward(x, net))  # the network casts the frames
 
-    def test_segment1_widened_once_per_network(self):
-        spec = nnet.tdnn_spec("tdnn-standard", 40, 2)
-        w = nnet.init_weights(spec, 3)
-        net = nnet.prepare(spec, w)
+    @pytest.mark.parametrize("kind", ["tdnn-standard", "tdnn-big-residual"])
+    def test_tdnn_is_float32_frame_layers_then_float64_segment1(self, kind):
+        spec = nnet.tdnn_spec(kind, 40, 2)
+        w = {k: v.astype(np.float32) for k, v in random_bn(nnet.init_weights(spec, 3), 4).items()}
         x = np.random.default_rng(2).standard_normal((98, 40)).astype(np.float32)
-        out = nnet.forward_tdnn(x, net)
-        widened = net.segment1_f64
-        assert widened.dtype == np.float64
-        assert np.array_equal(widened, w["segment1.weight"])
-        assert np.array_equal(nnet.forward_tdnn(x, net), out)
-        assert net.segment1_f64 is widened  # the second pass reused the first one's copy
-        # the same product as widening on every call
-        h = x
-        for layer, _ in nnet._tdnn_layers(spec):
-            if layer.name == "stats":
-                break
-            y = nnet.splice(h, layer.offsets) @ w[f"{layer.name}.weight"].T
-            h = nnet._bn(np.maximum(y + w[f"{layer.name}.bias"], 0.0), w, f"{layer.name}.bn")
-        pooled = nnet.stats_pooling(h)
-        assert np.array_equal(out, w["segment1.weight"].astype(np.float64) @ pooled
-                              + w["segment1.bias"])
+        h = x  # splice, affine, ReLU and batch norm, all float32
+        for layer in spec.frame_layers:
+            n = layer.name
+            y = np.maximum(nnet.splice(h, layer.offsets) @ w[f"{n}.weight"].T + w[f"{n}.bias"], 0.0)
+            scale, var, mean, shift = (w[f"{n}.bn.{s}"] for s in ("scale", "var", "mean", "shift"))
+            y = (y - mean) * (scale / np.sqrt(var + nnet.BN_EPS)) + shift
+            h = y + h if layer.residual else y
+        assert h.dtype == np.float32
+        expected = w["segment1.weight"].astype(np.float64) @ nnet.stats_pooling(h) \
+            + w["segment1.bias"]
+        assert np.array_equal(nnet.forward_tdnn(x, nnet.prepare(spec, w)), expected)
+
+    @pytest.mark.parametrize("kind", ["resnet34", "tdnn-standard"])
+    def test_network_holds_no_more_than_its_weights(self, kind):
+        spec = nnet.make_spec(kind, 40, 2)
+        w = nnet.init_weights(spec, 0)
+        allowed = sum(v.nbytes for v in w.values())
+        if kind != "resnet34":  # and segment1 once in float64
+            allowed += w["segment1.weight"].size * np.dtype(np.float64).itemsize
+        assert held_nbytes(nnet.prepare(spec, w)) <= allowed
 
     def test_resnet_peak_memory_on_1000_frames(self):
         spec = nnet.resnet_spec(2)
