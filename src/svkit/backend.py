@@ -308,7 +308,7 @@ def score_pair(backend: Backend, a: np.ndarray, b: np.ndarray) -> float:
 def preprocess_by_id(backend: Backend, embeddings_by_id, ids) -> dict[str, np.ndarray]:
     """Preprocessed vector of each distinct id, in first-seen order, from one
     ``preprocess`` call per id, so it is the same whichever command asks. Each
-    vector must have the shape of the backend's mean."""
+    vector must be finite, have the shape of the backend's mean and differ from it."""
     out: dict[str, np.ndarray] = {}
     for utt in ids:
         if utt not in out:
@@ -318,6 +318,10 @@ def preprocess_by_id(backend: Backend, embeddings_by_id, ids) -> dict[str, np.nd
             if emb.shape != backend.mean.shape:
                 raise ValueError(f"utterance {utt} has an embedding of shape {emb.shape}, "
                                  f"but the backend scores shape {backend.mean.shape}")
+            if not np.all(np.isfinite(emb)):
+                raise ValueError(f"utterance {utt} has a non-finite embedding")
+            if np.array_equal(emb, backend.mean):  # centered, its norm is zero
+                raise ValueError(f"utterance {utt}: degenerate norm: zero vector")
             out[utt] = preprocess(backend, emb)
     return out
 

@@ -2,13 +2,13 @@
 regression over trial scores, and the pre-calibrate / fuse / re-calibrate
 pipeline, which hands on only its final score set.
 
-The logistic regression minimizes the prior-weighted binary cross-entropy
-of sigmoid(w . s + b + logit(prior)) by deterministic gradient descent
-with backtracking line search, starting from w = 0, b = 0. The objective
-is convex, but the descent stops when a step improves the cross-entropy
-by less than 1e-10 or after 1000 steps, so it can end short of the
-optimum. Each evaluation takes one exp per trial: e = exp(-|a|) gives
-both softplus(a) = max(a, 0) + log1p(e) and sigmoid(a).
+The logistic regression minimizes the class-balanced binary cross-entropy
+of sigmoid(w . s + b), the prior-weighted one at the recipe's prior of 0.5,
+by deterministic gradient descent with backtracking line search, starting
+from w = 0, b = 0. The objective is convex, but the descent stops when a
+step improves the cross-entropy by less than 1e-10 or after 1000 steps, so
+it can end short of the optimum. Each evaluation takes one exp per trial:
+e = exp(-|a|) gives both softplus(a) = max(a, 0) + log1p(e) and sigmoid(a).
 """
 
 from dataclasses import dataclass
@@ -59,21 +59,6 @@ def fuse_weighted(scoresets: list[ScoreSet], weights) -> ScoreSet:
     return scoresets[0].with_scores(anchor + delta / total)
 
 
-def apply_fusion(scoresets: list[ScoreSet], model: FusionModel) -> ScoreSet:
-    """Per-trial linear combination plus offset."""
-    if len(model.weights) != len(scoresets):
-        raise ValueError("one weight per score set required")
-    _check_aligned(scoresets)
-    out = np.full(len(scoresets[0]), model.offset, dtype=np.float64)
-    for w, s in zip(model.weights, scoresets):
-        out += w * s.scores
-    return scoresets[0].with_scores(out)
-
-
-def _logit(p: float) -> float:
-    return float(np.log(p / (1.0 - p)))
-
-
 def _softplus(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log(1 + exp(a)), as np.logaddexp(0, a) evaluates it, and e = exp(-|a|)."""
     e = np.exp(-np.abs(a))
@@ -85,7 +70,7 @@ def _sigmoid(a: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.maximum(e, a >= 0.0) / (1.0 + e)
 
 
-def train_logreg(scores: np.ndarray, targets: np.ndarray, prior: float = 0.5) -> FusionModel:
+def train_logreg(scores: np.ndarray, targets: np.ndarray) -> FusionModel:
     """Logistic-regression calibration/fusion weights for a score matrix.
 
     scores is (trials x systems); targets is a boolean key. Training is
@@ -103,22 +88,18 @@ def train_logreg(scores: np.ndarray, targets: np.ndarray, prior: float = 0.5) ->
         raise ValueError("key labels must align with scores")
     if not targets.any() or targets.all():
         raise ValueError("single-class key: need both targets and nontargets")
-    if not 0.0 < prior < 1.0:
-        raise ValueError("prior must be in (0, 1)")
 
     n_tar = int(targets.sum())
     n_non = len(targets) - n_tar
     # one row per parameter (the weights, then the offset), one column per trial
     x = np.column_stack([np.concatenate([scores[targets], scores[~targets]]),
                          np.ones(len(targets))]).T * np.repeat([-1.0, 1.0], [n_tar, n_non])
-    weight = np.repeat([prior / n_tar, (1.0 - prior) / n_non], [n_tar, n_non])
+    weight = np.repeat([0.5 / n_tar, 0.5 / n_non], [n_tar, n_non])
     weighted_x = x * weight
-    shift = np.zeros(len(x))
-    shift[-1] = _logit(prior)  # the offset row is +-1, so it carries +-logit(prior)
 
     def evaluate(p):
         """Activations, exp(-|activations|) and the cross-entropy at p."""
-        act = (p + shift) @ x
+        act = p @ x
         terms, e = _softplus(act)
         return act, e, float(weight @ terms)
 
@@ -145,21 +126,22 @@ def train_logreg(scores: np.ndarray, targets: np.ndarray, prior: float = 0.5) ->
     return FusionModel(tuple(params[:-1]), float(params[-1]))
 
 
+def _apply(model: FusionModel, columns) -> np.ndarray:
+    """offset + sum of weight * column, adding the systems in order."""
+    out = np.full(len(columns[0]), model.offset)
+    for w, column in zip(model.weights, columns):
+        out += w * column
+    return out
+
+
 def calibrate_pipeline(scoresets: list[ScoreSet], key: TrialList) -> ScoreSet:
-    """Pre-calibrate each system, fuse by logistic regression, re-calibrate, all at
-    prior 0.5; the final calibrated scores, in trial order."""
+    """Pre-calibrate each system, fuse by logistic regression, re-calibrate; the
+    final calibrated scores, in trial order."""
     _check_aligned(scoresets)
     if key.labels is None:
         raise ValueError("key must be labeled")
     _check_aligned([scoresets[0], key])
     targets = key.labels
-    system_models = [train_logreg(s.scores, targets) for s in scoresets]
-    calibrated = [
-        apply_fusion([s], m) for s, m in zip(scoresets, system_models)
-    ]
-    stacked = np.stack([c.scores for c in calibrated], axis=1)
-    fusion_model = train_logreg(stacked, targets)
-    fused = apply_fusion(calibrated, fusion_model)
-    final_model = train_logreg(fused.scores, targets)
-    return apply_fusion([fused], final_model)
-
+    calibrated = [_apply(train_logreg(s.scores, targets), [s.scores]) for s in scoresets]
+    fused = _apply(train_logreg(np.stack(calibrated, axis=1), targets), calibrated)
+    return scoresets[0].with_scores(_apply(train_logreg(fused, targets), [fused]))

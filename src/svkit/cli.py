@@ -142,6 +142,9 @@ def cmd_embed(args) -> int:
         spec = nnet.make_spec(args.arch, dim, nnet.num_classes_of(args.arch, weights),
                               cfg.embedding_dim or None)
         with _naming(args.weights):  # tensors that do not fit the network
+            nonfinite = [name for name, w in weights.items() if not np.all(np.isfinite(w))]
+            if nonfinite:
+                raise ValueError(f"non-finite values in {nonfinite[0]}")
             net = nnet.prepare(spec, weights)
         del weights  # the network holds what its forward pass reads, not the file's tensors
     else:
@@ -183,7 +186,13 @@ def cmd_train_plda(args) -> int:
         raise ValueError(f"utterance {odd[0][0]} has an embedding of shape {odd[0][1]}, not "
                          f"{shapes[0]} like {utts[0]}: {args.embeddings}")
     x = np.stack([embeddings[u] for u in utts])
+    finite = np.all(np.isfinite(x), axis=1)
+    if not finite.all():
+        raise ValueError(f"utterance {utts[np.argmin(finite)]} has a non-finite embedding: "
+                         f"{args.embeddings}")
     labels = [labels_by_utt[u] for u in utts]
+    if len(set(labels)) < 2:  # S-norm scores against at least two cohort speakers
+        raise ValueError(f"need at least two speakers, got {len(set(labels))}: {args.labels}")
     rank = min(cfg.plda_rank_speaker, x.shape[1])
     bcfg = backend_mod.BackendConfig(
         kind=args.backend,

@@ -176,19 +176,18 @@ def plp(wave: Waveform) -> np.ndarray:
     return _lpc_to_cepstrum(a, err, NUM_PLP_COEFFS)
 
 
-def stmn(feats: np.ndarray, window_s: float = STMN_WINDOW) -> np.ndarray:
-    """Short-time mean normalization of (frames x dims) rows over a sliding window.
+def stmn(feats: np.ndarray) -> np.ndarray:
+    """Short-time mean normalization of (frames x dims) rows over a sliding
+    window of STMN_WINDOW seconds.
 
     The window is centered on each frame and shrinks at utterance edges;
     an utterance no longer than half the window degenerates to global
     mean subtraction.
     """
-    if window_s <= 0:
-        raise ValueError("invalid config: nonpositive stmn window")
     n = feats.shape[0]
     if n == 0:
         return feats
-    w = max(int(round(window_s / FRAME_SHIFT)), 1)
+    w = int(round(STMN_WINDOW / FRAME_SHIFT))
     t = np.arange(n)
     start = np.maximum(t - w // 2, 0)
     stop = np.minimum(t + (w - 1 - w // 2), n - 1)

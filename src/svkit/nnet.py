@@ -302,6 +302,8 @@ def _frames_in(frames: np.ndarray, net: Network, dim: int, min_frames: int) -> n
         raise ValueError("feature dim mismatch")
     if frames.shape[0] < min_frames:
         raise ValueError(f"too few frames: need at least {min_frames}")
+    if not np.all(np.isfinite(frames)):
+        raise ValueError("non-finite frames")
     return frames.astype(net.dtype, copy=False)
 
 

@@ -22,6 +22,7 @@ _STREAM_WAVE = 4
 
 SAMPLE_RATE = 16000
 GAIN_JITTER_DB = 3.0
+RESONATOR_RADIUS = 0.975  # pole radius of each speaker's two-pole resonance
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -41,7 +42,6 @@ class SynthSpec:
     noise_scale: float = 0.5
     # toy corpus knobs
     duration_s: float = 1.0
-    resonances_hz: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.num_speakers < 2:
@@ -124,21 +124,18 @@ def oracle_scores(model: PldaModel, embeddings: np.ndarray, trials: TrialList) -
     return ScoreSet(list(trials.enroll), list(trials.test), scores)
 
 
-def _resonator(freq_hz: float, sample_rate: int, radius: float = 0.975):
+def _resonator(freq_hz: float, sample_rate: int):
     theta = 2.0 * np.pi * freq_hz / sample_rate
-    return [1.0], [1.0, -2.0 * radius * np.cos(theta), radius * radius]
+    r = RESONATOR_RADIUS
+    return [1.0], [1.0, -2.0 * r * np.cos(theta), r * r]
 
 
 def gen_toy_corpus(spec: SynthSpec) -> tuple[list[Waveform], list[str]]:
-    """Per-speaker resonant-filtered noise utterances with gain jitter."""
+    """Per-speaker resonant-filtered noise utterances with gain jitter; the
+    resonances are spread evenly from 400 to 3600 Hz."""
     import scipy.signal  # only ``svkit synth`` needs it, and it loads much of scipy
 
-    if spec.resonances_hz is None:
-        freqs = np.linspace(400.0, 3600.0, spec.num_speakers)
-    else:
-        if len(spec.resonances_hz) != spec.num_speakers:
-            raise ValueError("one resonance per speaker required")
-        freqs = np.asarray(spec.resonances_hz, dtype=np.float64)
+    freqs = np.linspace(400.0, 3600.0, spec.num_speakers)
     n_samples = int(round(spec.duration_s * SAMPLE_RATE))
     waves: list[Waveform] = []
     labels: list[str] = []

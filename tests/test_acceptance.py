@@ -277,7 +277,7 @@ def test_c10_calibration_fusion():
         labels = rng.random(200) < 0.4
         if not labels.any() or labels.all():
             continue
-        model = cal.train_logreg(scores, labels, 0.5)
+        model = cal.train_logreg(scores, labels)
         act = model.weights[0] * scores + model.offset
         prior_ce = (0.5 * np.mean(np.logaddexp(0.0, -np.zeros(labels.sum())))
                     + 0.5 * np.mean(np.logaddexp(0.0, np.zeros((~labels).sum()))))
@@ -317,7 +317,7 @@ def test_c11_features():
     assert out.mean(axis=0).argmax() == np.argmin(np.abs(centers - 1000.0))
 
     const = np.full((120, 7), 3.3)
-    assert np.all(fe.stmn(const, 3.0) == 0.0)
+    assert np.all(fe.stmn(const) == 0.0)
 
     wave = fe.Waveform(np.random.default_rng(17).standard_normal(12000) * 0.1)
     base = fe.energy_vad(wave)

@@ -153,6 +153,20 @@ class TestFuseCommand:
                          "--out", str(out)]) == 0
         assert len(load_scores(out)) == n
 
+    def test_key_over_one_score_set_writes_what_calibrate_writes(self, tmp_path):
+        rng = np.random.default_rng(1)
+        labels = rng.random(200) < 0.3
+        ids = [f"u{j}" for j in range(200)]
+        scores, key = tmp_path / "sys.scores", tmp_path / "key.txt"
+        save_scores(scores, ScoreSet(ids, ids[::-1], 3.0 * labels + rng.standard_normal(200)))
+        save_trials(key, TrialList(ids, ids[::-1], labels))
+        args = ["--scores", str(scores), "--key", str(key), "--out"]
+        assert cli.main(["calibrate", *args, str(tmp_path / "calibrated.scores")]) == 0
+        assert cli.main(["fuse", *args, str(tmp_path / "fused.scores")]) == 0
+        calibrated = (tmp_path / "calibrated.scores").read_bytes()
+        assert calibrated == (tmp_path / "fused.scores").read_bytes()
+        assert calibrated != scores.read_bytes()
+
     def test_default_weights_need_four_score_sets(self, tmp_path, capsys):
         s, _ = separated_scores(tmp_path)
         out = tmp_path / "fused.txt"
@@ -501,6 +515,24 @@ def write_backend(path, kind: str, dim: int = 4) -> None:
     backend.save_backend(path, model, rng.standard_normal((3, dim)))
 
 
+def score_one_trial(tmp_path, command: str, kind: str, b: np.ndarray) -> int:
+    """Exit code of ``command`` (score or snorm) on the trial a-b, with a = ones(4),
+    over a 4-dimensional ``kind`` backend; the command must write no output."""
+    from svkit import tensorio
+
+    write_backend(tmp_path / "backend.svw", kind)
+    tensorio.write_tensors(tmp_path / "emb.svw", {"a": np.ones(4), "b": b})
+    save_trials(tmp_path / "trials.txt", TrialList(["a"], ["b"]))
+    save_scores(tmp_path / "raw.scores", ScoreSet(["a"], ["b"], np.array([0.5])))
+    out = tmp_path / "out.scores"
+    code = cli.main([command, "--backend-file", str(tmp_path / "backend.svw"),
+                     "--embeddings", str(tmp_path / "emb.svw"),
+                     "--trials", str(tmp_path / "trials.txt"), "--out", str(out)]
+                    + ["--scores", str(tmp_path / "raw.scores")] * (command == "snorm"))
+    assert not out.exists()
+    return code
+
+
 class TestSvw1Inputs:
     """The SVW1 inputs (embeddings, backends, weights) name their file in data errors."""
 
@@ -543,20 +575,53 @@ class TestSvw1Inputs:
     @pytest.mark.parametrize("kind", ["cosine", "plda"])
     def test_embedding_of_another_shape_than_the_backend_is_data_error(self, tmp_path, capsys,
                                                                       command, kind):
-        from svkit import tensorio
-
-        write_backend(tmp_path / "backend.svw", kind)
-        tensorio.write_tensors(tmp_path / "emb.svw", {"a": np.ones(4), "b": np.ones(3)})
-        save_trials(tmp_path / "trials.txt", TrialList(["a"], ["b"]))
-        save_scores(tmp_path / "raw.scores", ScoreSet(["a"], ["b"], np.array([0.5])))
-        out = tmp_path / "out.scores"
-        assert cli.main([command, "--backend-file", str(tmp_path / "backend.svw"),
-                         "--embeddings", str(tmp_path / "emb.svw"),
-                         "--trials", str(tmp_path / "trials.txt"), "--out", str(out)]
-                        + ["--scores", str(tmp_path / "raw.scores")] * (command == "snorm")) == 2
+        assert score_one_trial(tmp_path, command, kind, np.ones(3)) == 2
         assert capsys.readouterr().err == (
             "error: utterance b has an embedding of shape (3,), "
             "but the backend scores shape (4,)\n")
+
+    @pytest.mark.parametrize("command", ["score", "snorm"])
+    @pytest.mark.parametrize("kind", ["cosine", "plda"])
+    @pytest.mark.parametrize("b, message", [
+        (np.array([1.0, np.nan, 1.0, 1.0]), "utterance b has a non-finite embedding"),
+        (np.array([1.0, 1.0, -np.inf, 1.0]), "utterance b has a non-finite embedding"),
+        (np.zeros(4), "utterance b: degenerate norm: zero vector"),  # the backend's mean
+    ], ids=["nan", "inf", "at-the-mean"])
+    def test_unscorable_embedding_names_its_utterance(self, tmp_path, capsys, command, kind,
+                                                      b, message):
+        assert score_one_trial(tmp_path, command, kind, b) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_train_plda_names_a_non_finite_embedding(self, tmp_path, capsys, bad):
+        from svkit import tensorio
+
+        emb, labels = tmp_path / "emb.svw", tmp_path / "labels.txt"
+        rng = np.random.default_rng(0)
+        tensors = {f"u{i}": rng.standard_normal(4) for i in range(4)}
+        tensors["u2"][1] = bad
+        tensorio.write_tensors(emb, tensors)
+        labels.write_text("u0 s0\nu1 s1\nu2 s0\nu3 s1\n")
+        out = tmp_path / "backend.svw"
+        assert cli.main(["train_plda", "--embeddings", str(emb), "--labels", str(labels),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: utterance u2 has a non-finite embedding: {emb}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["cosine", "plda"])
+    def test_train_plda_rejects_a_single_speaker(self, tmp_path, capsys, kind):
+        # S-norm needs at least two cohort rows, one per speaker
+        from svkit import tensorio
+
+        emb, labels = tmp_path / "emb.svw", tmp_path / "labels.txt"
+        rng = np.random.default_rng(0)
+        tensorio.write_tensors(emb, {f"u{i}": rng.standard_normal(4) for i in range(4)})
+        labels.write_text("u0 s0\nu1 s0\nu2 s0\nu3 s0\nu4 s1\n")  # u4 has no embedding
+        out = tmp_path / "backend.svw"
+        assert cli.main(["train_plda", "--embeddings", str(emb), "--labels", str(labels),
+                         "--backend", kind, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: need at least two speakers, got 1: {labels}\n"
         assert not out.exists()
 
     def test_train_plda_names_the_first_embedding_of_another_shape(self, tmp_path, capsys):
@@ -676,6 +741,38 @@ class TestEmbedCommand:
         assert capsys.readouterr().err == f"error: {message}: {feats / bad}.feat\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("arch", ["resnet34", "tdnn-standard"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_frames_name_their_file(self, tmp_path, capsys, arch, bad):
+        from svkit import tensorio
+
+        feats = tmp_path / "feats"
+        feats.mkdir()
+        frames = np.zeros((20, 40))
+        frames[7, 3] = bad
+        tensorio.write_feature_matrix(feats / "u0.feat", np.zeros((20, 40)))
+        tensorio.write_feature_matrix(feats / "u1.feat", frames)
+        out = tmp_path / "emb.svw"
+        assert cli.main(["embed", "--feats-dir", str(feats), "--arch", arch,
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: non-finite frames: {feats / 'u1.feat'}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_weight_file_is_data_error(self, small_corpus, tmp_path, capsys, bad):
+        from svkit import nnet, tensorio
+
+        _, feats, _ = small_corpus
+        weights = nnet.init_weights(nnet.make_spec("tdnn-standard", 40, 2), 1)
+        weights["frame3.weight"][0, 5] = bad
+        tensorio.write_tensors(tmp_path / "bad.svw", weights)
+        out = tmp_path / "emb.svw"
+        assert cli.main(["embed", "--feats-dir", str(feats), "--weights",
+                         str(tmp_path / "bad.svw"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: non-finite values in frame3.weight: {tmp_path / 'bad.svw'}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("mask, shape, message", [
         ("short", (19, 1), "mask/feature mismatch"),  # 19 rows for 20 frames
         ("no_column", (20, 0), "mask/feature mismatch"),
@@ -785,6 +882,55 @@ def public_definitions(paths) -> set[str]:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
 
 
+# Defaulted parameters of public svkit functions that no svkit or perfbench
+# caller passes, each with the test file that needs to set it.
+TEST_PARAMETERS = {
+    ("aam_logits", "cfg"): "test_aam.py",
+    ("aam_loss", "cfg"): "test_aam.py",
+    ("aam_grad", "cfg"): "test_aam.py",
+    ("finetune_head", "cfg"): "test_acceptance.py",  # c04
+    ("finetune_head", "learning_rate"): "test_acceptance.py",
+    ("finetune_head", "seed"): "test_acceptance.py",
+    ("resnet_shape_audit", "time"): "test_nnet.py",
+}
+
+
+def public_signatures(paths) -> tuple[dict[str, list[str]], set[tuple[str, str]]]:
+    """The positional parameter names of each public top-level function in ``paths``,
+    and its (function, parameter) pairs that have a default."""
+    positional, defaulted = {}, set()
+    for path in paths:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args]
+                positional[node.name] = names
+                defaulted |= {(node.name, n) for n in names[len(names) - len(args.defaults):]}
+                defaulted |= {(node.name, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                              if d is not None}
+    return positional, defaulted
+
+
+def passed_parameters(paths, positional) -> set[tuple[str, str]]:
+    """(function, parameter) for each parameter that a call in ``paths`` passes, by
+    position or by keyword, to a function named in ``positional``."""
+    passed = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name not in positional:
+                continue
+            names = positional[name]
+            for i, arg in enumerate(node.args):
+                passed |= {(name, n) for n in (names[i:] if isinstance(arg, ast.Starred)
+                                               else names[i:i + 1])}
+            for kw in node.keywords:
+                passed |= {(name, n) for n in names} if kw.arg is None else {(name, kw.arg)}
+    return passed
+
+
 def referenced_names(paths) -> set[str]:
     """Names read through an AST Name or Attribute node in ``paths``.
 
@@ -873,6 +1019,19 @@ class TestFlags:
         for name, test_file in REFERENCES.items():
             assert name in public and name not in reached, name
             assert name in referenced_names([ROOT / "tests" / test_file]), name
+
+    def test_every_defaulted_parameter_is_passed_or_needed_by_a_test(self):
+        """Each defaulted parameter of a public svkit function is passed by some svkit
+        or perfbench caller, or is a TEST_PARAMETERS entry that its test file passes;
+        a recipe value that no caller sets is a constant, not a parameter."""
+        src = sorted((ROOT / "src" / "svkit").glob("*.py"))
+        positional, defaulted = public_signatures(src)
+        callers = [*src, *sorted((ROOT / "perfbench" / "svbench").glob("*.py"))]
+        unpassed = defaulted - passed_parameters(callers, positional)
+        assert sorted(unpassed - TEST_PARAMETERS.keys()) == []
+        for parameter, test_file in TEST_PARAMETERS.items():
+            assert parameter in unpassed, parameter
+            assert parameter in passed_parameters([ROOT / "tests" / test_file], positional)
 
     def test_every_config_key_is_set_by_a_test_or_workload(self):
         """Each PipelineConfig key is written as "key = " by some test or perfbench workload."""

@@ -198,18 +198,18 @@ class TestLevinson:
 class TestStmn:
     def test_constant_matrix_maps_to_exact_zero(self):
         feats = np.full((120, 7), 3.3)
-        assert np.all(fe.stmn(feats, 3.0) == 0.0)
+        assert np.all(fe.stmn(feats) == 0.0)
 
     def test_short_utterance_is_global_mean_subtraction(self):
         x = np.random.default_rng(1).standard_normal((100, 8))
-        out = fe.stmn(x, 3.0)
+        out = fe.stmn(x)
         np.testing.assert_allclose(out, x - x.mean(axis=0), atol=1e-12)
         # the windowed (here: global) mean of the output is ~0
         assert np.abs(out.mean(axis=0)).max() < 1e-9
 
     def test_matches_sliding_mean_oracle(self):
         x = np.random.default_rng(2).standard_normal((400, 40))
-        out = fe.stmn(x, 3.0)
+        out = fe.stmn(x)
         w = round(3.0 / 0.010)
         expected = np.empty_like(x)
         for t in range(x.shape[0]):
@@ -220,11 +220,11 @@ class TestStmn:
 
     def test_empty_input_passes_through(self):
         feats = np.zeros((0, 5))
-        assert fe.stmn(feats, 3.0).shape == (0, 5)
+        assert fe.stmn(feats).shape == (0, 5)
 
     def test_shape_preserved(self):
         x = np.random.default_rng(3).standard_normal((37, 13))
-        assert fe.stmn(x, 1.0).shape == x.shape
+        assert fe.stmn(x).shape == x.shape
 
 
 def vad_oracle(wave):
