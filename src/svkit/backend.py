@@ -141,6 +141,14 @@ def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
+def speaker_sums(x: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's speaker index, rows per speaker and per-speaker sums of ``x``, in label order."""
+    _, spk, counts = np.unique(np.asarray(labels), return_inverse=True, return_counts=True)
+    sums = np.zeros((len(counts), x.shape[1]))
+    np.add.at(sums, spk, x)
+    return spk, counts, sums
+
+
 def train_lda(embeddings: np.ndarray, labels) -> np.ndarray:
     """Full-dimension LDA; rows are directions sorted by discriminability.
 
@@ -152,13 +160,11 @@ def train_lda(embeddings: np.ndarray, labels) -> np.ndarray:
     import scipy.linalg
 
     x = np.asarray(embeddings, dtype=np.float64)
-    _, cls, counts = np.unique(np.asarray(labels), return_inverse=True, return_counts=True)
+    n, d = x.shape
+    cls, counts, sums = speaker_sums(x, labels)
     if len(counts) < 2:
         raise ValueError("LDA needs at least two classes")
-    n, d = x.shape
-    means = np.zeros((len(counts), d))
-    np.add.at(means, cls, x)
-    means /= counts[:, None]
+    means = sums / counts[:, None]
     diff = x - means[cls]
     gap = means - x.mean(axis=0)
     s_w = diff.T @ diff / n
@@ -196,14 +202,11 @@ def train_plda(embeddings: np.ndarray, labels, cfg: BackendConfig = BackendConfi
     rs, rc = cfg.rank_speaker, cfg.rank_channel
     if rs > d or rc > d:
         raise ValueError("subspace rank exceeds embedding dimension")
-    _, spk, counts = np.unique(np.asarray(labels), return_inverse=True, return_counts=True)
-    if len(counts) < 2:
-        raise ValueError("PLDA needs at least two speakers")
-
     mu = x.mean(axis=0)
     xc = x - mu
-    sums = np.zeros((len(counts), d))  # per-speaker sums of centered data
-    np.add.at(sums, spk, xc)
+    _, counts, sums = speaker_sums(xc, labels)  # of centered data
+    if len(counts) < 2:
+        raise ValueError("PLDA needs at least two speakers")
     scatter = xc.T @ xc
     del xc  # EM needs only the speaker sums and the scatter
     var = np.diag(scatter) / n
@@ -279,23 +282,23 @@ class Backend:
 
 
 def train_backend(embeddings: np.ndarray, labels, cfg: BackendConfig = BackendConfig()) -> Backend:
-    """Center estimation plus, for PLDA, LDA and EM training."""
+    """Center estimation plus, for PLDA, LDA and EM training on the embeddings
+    as ``preprocess`` prepares them for scoring."""
     mean = estimate_center(embeddings)
     if cfg.kind == "cosine":
         return Backend("cosine", mean)
-    centered = embeddings - mean
-    lda = train_lda(centered, labels)
-    projected = length_normalize(centered @ lda.T)
-    plda = train_plda(projected, labels, cfg)
-    return Backend("plda", mean, lda, plda)
+    lda = train_lda(embeddings - mean, labels)
+    prep = Backend("plda", mean, lda)
+    return Backend("plda", mean, lda, train_plda(preprocess(prep, embeddings), labels, cfg))
 
 
 def preprocess(backend: Backend, embeddings: np.ndarray) -> np.ndarray:
     """Apply the backend's preprocessing chain to one or more embeddings."""
-    x = np.asarray(embeddings, dtype=np.float64) - backend.mean
+    x = np.subtract(embeddings, backend.mean, dtype=np.float64)  # no float64 copy of the input
     if backend.kind == "cosine":
         return x
-    return length_normalize(x @ backend.lda.T)
+    x = x @ backend.lda.T  # the centered rows are freed before normalizing: fewer fresh pages
+    return length_normalize(x)
 
 
 def score_pair(backend: Backend, a: np.ndarray, b: np.ndarray) -> float:

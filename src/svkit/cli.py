@@ -30,7 +30,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_pipeline_config(args) -> PipelineConfig:
     if not args.config:
         return PipelineConfig()
-    with _naming(args.config, UnicodeDecodeError):  # line errors keep their text
+    with _naming(args.config, errors=UnicodeDecodeError):  # line errors keep their text
         return load_config(args.config)
 
 
@@ -58,19 +58,40 @@ def _inputs(directory, pattern: str, what: str) -> list[Path]:
 
 
 @contextmanager
-def _naming(path, errors=ValueError):
-    """Append ``path`` to an ``errors`` data error from the block; ``read_wav``
-    errors name it already."""
+def _naming(*paths, errors=ValueError):
+    """Append ``paths`` to an ``errors`` data error from the block; ``read_wav``
+    errors name their file already."""
     try:
         yield
     except errors as exc:
-        raise ValueError(f"{exc}: {path}") from None
+        raise ValueError(f"{exc}: {', '.join(map(str, paths))}") from None
 
 
 def _load_named(loader, path):
     """``loader(path)``, with ``path`` appended to its data errors."""
     with _naming(path):
         return loader(path)
+
+
+def _load_key(path) -> TrialList:
+    """The trial list at ``path``, which must be labeled with both classes."""
+    with _naming(path):
+        key = load_trials(path)
+        if key.labels is None:
+            raise ValueError("key must be labeled")
+        if key.labels.all() or not key.labels.any():
+            raise ValueError("single-class key: need both targets and nontargets")
+    return key
+
+
+def _check_trials(*named) -> None:
+    """Each (trial list, its file) after the first must hold the first one's trials
+    in the same order; a mismatch names the first file and the other."""
+    (first, first_path), *rest = named
+    for other, path in rest:
+        bad = same_trials(first, other)
+        if bad is not None:
+            raise ValueError(f"trials do not match at: {bad[0]} {bad[1]}: {first_path}, {path}")
 
 
 def cmd_synth(args) -> int:
@@ -193,6 +214,11 @@ def cmd_train_plda(args) -> int:
     labels = [labels_by_utt[u] for u in utts]
     if len(set(labels)) < 2:  # S-norm scores against at least two cohort speakers
         raise ValueError(f"need at least two speakers, got {len(set(labels))}: {args.labels}")
+    if args.backend == "plda":  # centered, an embedding at the mean has a zero length norm
+        at_mean = np.all(x == backend_mod.estimate_center(x), axis=1)
+        if at_mean.any():
+            raise ValueError(f"utterance {utts[np.argmax(at_mean)]}: degenerate norm: "
+                             f"zero vector: {args.embeddings}")
     rank = min(cfg.plda_rank_speaker, x.shape[1])
     bcfg = backend_mod.BackendConfig(
         kind=args.backend,
@@ -202,7 +228,8 @@ def cmd_train_plda(args) -> int:
         seed=args.seed,
     )
     trained = backend_mod.train_backend(x, labels, bcfg)
-    cohort = scorenorm.build_cohort(x, labels, trained)
+    with _naming(args.labels):  # a cosine speaker whose embeddings average to the mean
+        cohort = scorenorm.build_cohort(x, labels, trained)
     backend_mod.save_backend(args.out, trained, cohort)
     print(f"trained {args.backend} backend on {len(utts)} embeddings", file=sys.stderr)
     return 0
@@ -224,9 +251,7 @@ def cmd_snorm(args) -> int:
     embeddings = _load_named(tensorio.read_tensors, args.embeddings)
     trials = _load_named(load_trials, args.trials)
     raw = _load_named(load_scores, args.scores)
-    bad = same_trials(trials, raw)
-    if bad is not None:
-        raise ValueError(f"raw scores do not match the trial list at: {bad[0]} {bad[1]}")
+    _check_trials((trials, args.trials), (raw, args.scores))
     snorm_cfg = scorenorm.SnormConfig(top_x=cfg.snorm_top_x)
     out = scorenorm.snorm_scores(backend, embeddings, raw, cohort, snorm_cfg)
     save_scores(args.out, out)
@@ -242,7 +267,8 @@ def cmd_snorm(args) -> int:
 
 def cmd_calibrate(args) -> int:
     scores = _load_named(load_scores, args.scores)
-    key = _load_named(load_trials, args.key)
+    key = _load_key(args.key)
+    _check_trials((scores, args.scores), (key, args.key))
     calibrated = calibration.calibrate_pipeline([scores], key)
     save_scores(args.out, calibrated)
     print("calibrated scores written", file=sys.stderr)
@@ -258,8 +284,10 @@ def _parse_weights(text: str) -> list[float]:
 
 def cmd_fuse(args) -> int:
     scoresets = [_load_named(load_scores, p) for p in args.scores]
+    named = list(zip(scoresets, args.scores))
     if args.key:
-        key = _load_named(load_trials, args.key)
+        key = _load_key(args.key)
+        _check_trials(*named, (key, args.key))
         fused = calibration.calibrate_pipeline(scoresets, key)
     else:
         weights = (list(calibration.FUSION_WEIGHTS) if args.weights is None
@@ -270,6 +298,7 @@ def cmd_fuse(args) -> int:
                              "give --weights or --key")
         if len(weights) == 1 and len(scoresets) > 1:
             weights = weights * len(scoresets)
+        _check_trials(*named)
         fused = calibration.fuse_weighted(scoresets, weights)
     save_scores(args.out, fused)
     print(f"fused {len(scoresets)} systems", file=sys.stderr)
@@ -279,10 +308,11 @@ def cmd_fuse(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_pipeline_config(args)
     scores = _load_named(load_scores, args.scores)
-    key = _load_named(load_trials, args.key)
+    key = _load_key(args.key)
     params = metrics.DcfParams(cfg.dcf_p_target)
-    eer = metrics.compute_eer(scores, key)
-    dcf = metrics.compute_min_dcf(scores, key, params)
+    with _naming(args.scores, args.key):  # trials that do not pair up, in any order
+        eer = metrics.compute_eer(scores, key)
+        dcf = metrics.compute_min_dcf(scores, key, params)
     line = metrics.format_metrics(eer, dcf, params)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:

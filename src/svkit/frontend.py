@@ -176,6 +176,15 @@ def plp(wave: Waveform) -> np.ndarray:
     return _lpc_to_cepstrum(a, err, NUM_PLP_COEFFS)
 
 
+def _window_sums(x: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each row t, the sum of the rows of ``x`` from t - width // 2 to t - width // 2
+    + width - 1, clipped at the edges, and the number of rows that the sum covers."""
+    csum = np.concatenate([np.zeros((1,) + x.shape[1:]), np.cumsum(x, axis=0)])
+    start = np.arange(len(x)) - width // 2
+    lo, hi = np.maximum(start, 0), np.minimum(start + width, len(x))
+    return csum[hi] - csum[lo], hi - lo
+
+
 def stmn(feats: np.ndarray) -> np.ndarray:
     """Short-time mean normalization of (frames x dims) rows over a sliding
     window of STMN_WINDOW seconds.
@@ -184,18 +193,12 @@ def stmn(feats: np.ndarray) -> np.ndarray:
     an utterance no longer than half the window degenerates to global
     mean subtraction.
     """
-    n = feats.shape[0]
-    if n == 0:
+    if feats.shape[0] == 0:
         return feats
-    w = int(round(STMN_WINDOW / FRAME_SHIFT))
-    t = np.arange(n)
-    start = np.maximum(t - w // 2, 0)
-    stop = np.minimum(t + (w - 1 - w // 2), n - 1)
     # Anchor at the first frame so a constant input comes out exactly zero.
     shifted = feats - feats[0]
-    csum = np.vstack([np.zeros((1, feats.shape[1])), np.cumsum(shifted, axis=0)])
-    means = (csum[stop + 1] - csum[start]) / (stop - start + 1)[:, None]
-    return shifted - means
+    sums, counts = _window_sums(shifted, int(round(STMN_WINDOW / FRAME_SHIFT)))
+    return shifted - sums / counts[:, None]
 
 
 def energy_vad(wave: Waveform) -> np.ndarray:
@@ -209,14 +212,8 @@ def energy_vad(wave: Waveform) -> np.ndarray:
     frames = _frames(wave)
     log_e = np.log(np.maximum(np.sum(frames * frames, axis=1), ENERGY_FLOOR))
     threshold = np.mean(log_e) + VAD_ENERGY_MEAN_SCALE * np.std(log_e)
-    raw = log_e >= threshold
-    half = VAD_CONTEXT // 2
-    n = len(raw)
-    csum = np.concatenate([[0], np.cumsum(raw.astype(np.int64))])
-    lo = np.maximum(np.arange(n) - half, 0)
-    hi = np.minimum(np.arange(n) + half + 1, n)
-    trues = csum[hi] - csum[lo]
-    return 2 * trues >= (hi - lo)
+    trues, counts = _window_sums(log_e >= threshold, VAD_CONTEXT)
+    return 2 * trues >= counts
 
 
 def apply_vad(feats: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -5,8 +5,8 @@ the weights' dtype, what inference reads; it is deterministic numpy, with batch
 norm on stored running statistics. ``svkit embed`` runs float32, the tests'
 reference float64. TDNN frame layers apply splice, affine, ReLU, batch norm; the
 embedding is the float64 pre-activation output of the first segment-level
-affine. The ResNet folds each batch norm into its conv, pools mean and standard
-deviation over time and taps the embedding before the Dense1 nonlinearity.
+affine. The ResNet folds each batch norm into its conv, pools its last map with the
+same ``stats_pooling`` and taps the embedding before the Dense1 nonlinearity.
 """
 
 from collections.abc import Iterator, Mapping
@@ -354,12 +354,9 @@ def forward_resnet(frames: np.ndarray, net: Network) -> np.ndarray:
         if blk.proj:  # project the shortcut to the block's output shape
             x = _gemm(*t[f"{p}.proj"], x[:, ::blk.stride, ::blk.stride])
         x = np.maximum(y + x, 0.0)
-    mean = np.mean(x, axis=2)  # (channels, freq)
-    centered = x - mean[:, :, None]
-    std = np.sqrt(np.maximum(np.mean(centered * centered, axis=2), 0.0) + STD_FLOOR)
-    pooled = np.concatenate([mean.T, std.T], axis=0)  # (2*freq, channels)
-    weight, bias = t["dense1"]
-    return weight @ pooled.ravel() + bias
+    weight, bias = t["dense1"]  # its columns: means, then deviations, each freq-major
+    pooled = stats_pooling(x.transpose(2, 1, 0).reshape(x.shape[2], -1))  # time x (freq, channel)
+    return weight @ pooled.astype(weight.dtype) + bias
 
 
 def forward(frames: np.ndarray, net: Network) -> np.ndarray:

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import Backend, length_normalize, preprocess, preprocess_by_id, score_pair
+from .backend import (Backend, length_normalize, preprocess, preprocess_by_id, score_pair,
+                      speaker_sums)
 from .trials import ScoreSet
 
 SIGMA_FLOOR = 1e-12
@@ -31,17 +32,18 @@ def build_cohort(embeddings: np.ndarray, labels, backend: Backend) -> np.ndarray
     """Per-speaker means of preprocessed embeddings, one row per speaker.
 
     Cosine cohorts are re-length-normalized after averaging, so a speaker
-    whose utterances cancel out raises a degenerate-norm error.
+    whose utterances cancel out raises a degenerate-norm error naming it.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     if embeddings.ndim != 2 or embeddings.shape[0] == 0:
         raise ValueError("need at least one embedding")
-    prepped = preprocess(backend, embeddings)
-    _, spk, counts = np.unique(np.asarray(labels), return_inverse=True, return_counts=True)
-    cohort = np.zeros((len(counts), prepped.shape[1]))
-    np.add.at(cohort, spk, prepped)
-    cohort /= counts[:, None]
+    spk, counts, sums = speaker_sums(preprocess(backend, embeddings), labels)
+    cohort = sums / counts[:, None]
     if backend.kind == "cosine":
+        zero = np.flatnonzero(~cohort.any(axis=1))
+        if len(zero):
+            speaker = np.asarray(labels)[spk == zero[0]][0]
+            raise ValueError(f"speaker {speaker}: degenerate norm: zero vector")
         cohort = length_normalize(cohort)
     return cohort
 

@@ -97,7 +97,8 @@ class TestEvalCommand:
                          "--key", str(tmp_path / "k.txt")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: key trial not scored: c d\n"
+        assert captured.err == (
+            f"error: key trial not scored: c d: {tmp_path / 's.txt'}, {tmp_path / 'k.txt'}\n")
 
 
 class TestUsage:
@@ -660,6 +661,94 @@ class TestSvw1Inputs:
         assert err == f"error: {message}: {emb}\n"
         assert err.count(str(emb)) == 1
         assert not out.exists()
+
+
+def write_fault_inputs(directory) -> None:
+    """Valid inputs of ``calibrate``, ``fuse``, ``eval``, ``snorm`` and ``train_plda``
+    in ``directory``, and the faulty files of ``FAULTS``."""
+    from svkit import tensorio
+
+    enroll, test, labels = ["a", "c", "a", "b"], ["b", "d", "c", "d"], [True, True, False, False]
+    scores = ScoreSet(enroll, test, np.array([2.0, 1.5, -1.0, -0.5]))
+    save_trials(directory / "key.txt", TrialList(enroll, test, np.array(labels)))
+    save_trials(directory / "trials.txt", TrialList(enroll, test))
+    save_trials(directory / "unlabeled.txt", TrialList(enroll, test))
+    save_trials(directory / "onesided.txt", TrialList(enroll, test, np.ones(4, dtype=bool)))
+    (directory / "empty.txt").write_text("", encoding="utf-8")
+    (directory / "empty.scores").write_text("", encoding="utf-8")
+    for name in ("a.scores", "b.scores"):
+        save_scores(directory / name, scores)
+    swapped = ScoreSet(enroll[::-1], test[::-1], scores.scores[::-1])
+    for name in ("swapped.scores", "swapped2.scores"):
+        save_scores(directory / name, swapped)
+    save_scores(directory / "extra.scores", ScoreSet(enroll + ["x"], test + ["y"],
+                                                     np.append(scores.scores, 0.0)))
+    write_backend(directory / "backend.svw", "cosine")
+    rng = np.random.default_rng(5)
+    tensorio.write_tensors(directory / "emb.svw", {u: rng.standard_normal(4) for u in "abcd"})
+    # a and -a for s0, 0 and b for s1, -b for s2: the training mean is 0
+    a, b = np.array([1.0, 2.0, 0.0, -1.0]), np.array([0.5, -1.0, 3.0, 2.0])
+    tensorio.write_tensors(directory / "cancel.svw",
+                           {"u0": a, "u1": -a, "u2": np.zeros(4), "u3": b, "u4": -b})
+    (directory / "cancel_labels.txt").write_text("u0 s0\nu1 s0\nu2 s1\nu3 s1\nu4 s2\n")
+
+
+CALIBRATE_WITH = ["calibrate", "--scores", "a.scores", "--key"]
+FUSE_WITH = ["fuse", "--scores", "a.scores", "b.scores", "--key"]
+EVAL_WITH = ["eval", "--scores", "a.scores", "--key"]
+SNORM_ON = ["snorm", "--backend-file", "backend.svw", "--embeddings", "emb.svw"]
+TRAIN_ON = ["train_plda", "--embeddings", "cancel.svw", "--labels", "cancel_labels.txt"]
+
+# (argv without --out, the files the message must name, a fragment of the message)
+FAULTS = {
+    **{f"{argv[0]}-key-{key.split('.')[0]}": (argv + [key], [key], message)
+       for argv in (CALIBRATE_WITH, FUSE_WITH, EVAL_WITH)
+       for key, message in (("unlabeled.txt", "key must be labeled"),
+                            ("empty.txt", "key must be labeled"),
+                            ("onesided.txt", "single-class key"))},
+    "snorm-empty-scores": (SNORM_ON + ["--trials", "trials.txt", "--scores", "empty.scores"],
+                           ["trials.txt", "empty.scores"], "trials do not match at: a b"),
+    "snorm-empty-trials": (SNORM_ON + ["--trials", "empty.txt", "--scores", "a.scores"],
+                           ["empty.txt", "a.scores"], "trials do not match at: a b"),
+    "calibrate-empty-scores": (["calibrate", "--scores", "empty.scores", "--key", "key.txt"],
+                               ["empty.scores", "key.txt"], "trials do not match at: a b"),
+    "calibrate-swapped-scores": (["calibrate", "--scores", "swapped.scores", "--key", "key.txt"],
+                                 ["swapped.scores", "key.txt"], "trials do not match at: b d"),
+    "fuse-key-empty-second": (["fuse", "--scores", "a.scores", "empty.scores", "--key", "key.txt"],
+                              ["a.scores", "empty.scores"], "trials do not match at: a b"),
+    "fuse-key-swapped-first": (["fuse", "--scores", "swapped.scores", "swapped2.scores",
+                                "--key", "key.txt"],
+                               ["swapped.scores", "key.txt"], "trials do not match at: b d"),
+    "fuse-weights-empty-second": (["fuse", "--scores", "a.scores", "empty.scores",
+                                   "--weights", "1,1"],
+                                  ["a.scores", "empty.scores"], "trials do not match at: a b"),
+    "eval-empty-scores": (["eval", "--scores", "empty.scores", "--key", "key.txt"],
+                          ["empty.scores", "key.txt"], "key trial not scored: a b"),
+    "eval-extra-trial": (["eval", "--scores", "extra.scores", "--key", "key.txt"],
+                         ["extra.scores", "key.txt"], "trial not in key: x y"),
+    "train_plda-plda-at-mean": (TRAIN_ON + ["--backend", "plda"], ["cancel.svw"],
+                                "utterance u2: degenerate norm: zero vector"),
+    "train_plda-cosine-cancelling-speaker": (TRAIN_ON + ["--backend", "cosine"],
+                                             ["cancel_labels.txt"],
+                                             "speaker s0: degenerate norm: zero vector"),
+}
+
+
+@pytest.mark.parametrize("argv, faulty, message", FAULTS.values(), ids=FAULTS.keys())
+def test_fault_names_each_faulty_file_once(tmp_path, capsys, argv, faulty, message):
+    """Exit 2 with one stderr line that names each faulty input file once and no
+    other input file, and no output file."""
+    write_fault_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main([str(tmp_path / a) if (tmp_path / a).is_file() else a for a in argv]
+                    + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    for name in {a for a in argv if (tmp_path / a).is_file()}:
+        assert captured.err.count(str(tmp_path / name)) == (name in faulty), name
+    assert not out.exists()
 
 
 class TestEmbedCommand:

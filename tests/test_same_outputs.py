@@ -78,3 +78,29 @@ def test_missing_unreadable_and_other_files(sides):
     assert same_outputs.describe("y.svw", *sides) == "y.svw differs: one side cannot be read"
     write_both(sides, "eval.txt", "EER=1%\n", "EER=2%\n")
     assert same_outputs.describe("eval.txt", *sides) == "eval.txt differs"
+
+
+def test_difference_relative_to_the_largest_value_of_each_file_or_tensor(sides):
+    parent, change = sides
+    write_both(sides, "cal.scores", PARENT_SCORES,
+               "u1 u2 2.5000000000000004\nu1 u3 -4.002\nu2 u3 1e-300\n")
+    # 0.002 of the largest |score|, 4.002; the per-element figure is 1 (0 -> 1e-300)
+    assert same_outputs.of_largest("cal.scores", *sides) == (
+        "; 0.0005 of the largest absolute value of the file")
+    tensorio.write_tensors(parent / "emb.svw", {"u1": np.array([1.0, 2.0]),
+                                                "u2": np.array([[8.0], [-1.0]])})
+    tensorio.write_tensors(change / "emb.svw", {"u1": np.array([1.0, 2.5]),
+                                                "u2": np.array([[8.0], [-2.0]])})
+    # u1 moved 0.5 of 2.5 and u2 1 of 8: the smaller move is the larger share
+    assert same_outputs.of_largest("emb.svw", *sides) == (
+        "; 0.2 of the largest absolute value of tensor 'u1'")
+    tensorio.write_feature_matrix(parent / "cohort.svf", np.array([[1.0, -4.0]]))
+    tensorio.write_feature_matrix(change / "cohort.svf", np.array([[2.0, -4.0]]))
+    assert same_outputs.of_largest("cohort.svf", *sides) == (
+        "; 0.25 of the largest absolute value of the file")
+    (parent / "only.scores").write_text("", encoding="utf-8")
+    (change / "bad.svw").write_bytes(b"SVW1")
+    (parent / "bad.svw").write_bytes(b"SVW1")
+    write_both(sides, "eval.txt", "EER=1%\n", "EER=2%\n")
+    for name in ("only.scores", "bad.svw", "eval.txt"):
+        assert same_outputs.of_largest(name, *sides) == ""

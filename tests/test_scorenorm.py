@@ -221,5 +221,5 @@ class TestSnormScores:
         code, trials = self.snorm_cli(tmp_path, swap)
         e, t = trials.pairs()[3]
         assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: raw scores do not match the trial list at: {e} {t}\n")
+        assert capsys.readouterr().err == (f"error: trials do not match at: {e} {t}: "
+                                           f"{tmp_path / 't.txt'}, {tmp_path / 'raw.txt'}\n")

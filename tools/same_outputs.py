@@ -16,7 +16,10 @@ relative score difference, and a differing SVW1 (``.svw``) or SVF1
 (``.svf``) file with its largest tensor difference, both read with the
 svkit of the repository this tool is in. So a change that moves outputs
 by rounding alone can be bounded with this tool. The relative difference
-of two values is |a - b| / max(|a|, |b|).
+of two values is |a - b| / max(|a|, |b|). Each such line also gives the
+largest difference relative to the largest absolute value of the score
+file, or of the tensor it is in (for embeddings: of the utterance), the
+measure that does not blow up where a value crosses zero.
 """
 
 import argparse
@@ -65,9 +68,16 @@ def _largest(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return float(diff.max(initial=0.0)), float(rel.max(initial=0.0))
 
 
-def how_far(a: Path, b: Path) -> str:
-    """How far score or tensor file ``b`` moved from ``a``, read with this
-    repository's svkit; an empty string for any other kind of file."""
+def _of_largest(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest difference of two equal-shaped arrays over their largest absolute value."""
+    scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
+    return float(np.abs(a.astype(np.float64) - b).max(initial=0.0) / scale) if scale else 0.0
+
+
+def _values(a: Path, b: Path) -> tuple[dict, dict] | str:
+    """The values of score or tensor files ``a`` and ``b`` by tensor name (one
+    unnamed array for a score or SVF1 file), read with this repository's svkit;
+    else why they cannot be compared by value, empty for another kind of file."""
     from svkit import tensorio
     from svkit.trials import load_scores
 
@@ -75,21 +85,49 @@ def how_far(a: Path, b: Path) -> str:
         sa, sb = load_scores(a), load_scores(b)
         if (sa.enroll, sa.test) != (sb.enroll, sb.test):
             return "the trial pairs differ"
-        big, rel = _largest(sa.scores, sb.scores)
-        return f"largest score difference {big:.3g} absolute, {rel:.3g} relative"
+        return {"": sa.scores}, {"": sb.scores}
     if a.suffix == ".svf":
-        ta, tb = {"": tensorio.read_feature_matrix(a)}, {"": tensorio.read_feature_matrix(b)}
-    elif a.suffix == ".svw":
-        ta, tb = tensorio.read_tensors(a), tensorio.read_tensors(b)
-    else:
+        return {"": tensorio.read_feature_matrix(a)}, {"": tensorio.read_feature_matrix(b)}
+    if a.suffix != ".svw":
         return ""
+    ta, tb = tensorio.read_tensors(a), tensorio.read_tensors(b)
     if ta.keys() != tb.keys() or any(ta[k].shape != tb[k].shape for k in ta):
         return "the tensor names or shapes differ"
+    return ta, tb
+
+
+def how_far(a: Path, b: Path) -> str:
+    """How far score or tensor file ``b`` moved from ``a``; an empty string for
+    any other kind of file."""
+    values = _values(a, b)
+    if isinstance(values, str):
+        return values
+    ta, tb = values
     moved = {k: _largest(ta[k], tb[k]) for k in ta}
+    if a.suffix == ".scores":
+        return f"largest score difference {moved[''][0]:.3g} absolute, {moved[''][1]:.3g} relative"
     worst = max(moved, key=lambda k: moved[k][0])
     where = f" (tensor {worst!r})" if worst else ""
     return (f"largest tensor difference {moved[worst][0]:.3g} absolute{where}, "
             f"{max(rel for _, rel in moved.values()):.3g} relative")
+
+
+def of_largest(name: str, parent: Path, change: Path) -> str:
+    """The largest difference of score or tensor file ``name`` relative to the largest
+    absolute value of the file or tensor, as a clause to follow ``describe``; an empty
+    string when the two cannot be compared by value."""
+    a, b = parent / name, change / name
+    try:
+        values = _values(a, b) if a.is_file() and b.is_file() else ""
+    except ValueError:  # a file svkit rejects
+        values = ""
+    if isinstance(values, str):
+        return ""
+    ta, tb = values
+    moved = {k: _of_largest(ta[k], tb[k]) for k in ta}
+    worst = max(moved, key=moved.get)
+    of = f"tensor {worst!r}" if worst else "the file"
+    return f"; {moved[worst]:.3g} of the largest absolute value of {of}"
 
 
 def describe(name: str, parent: Path, change: Path) -> str:
@@ -141,6 +179,7 @@ def main() -> int:
                 if len(works) == 2:
                     a, b = (files_of(work) for work in works)
                     problems += [f"{name} seed {seed}: {describe(f, *works)}"
+                                 f"{of_largest(f, *works)}"
                                  for f in sorted(a.keys() | b.keys()) if a.get(f) != b.get(f)]
                     print(f"{name} seed {seed}: compared {len(a.keys() | b.keys())} files",
                           file=sys.stderr)
