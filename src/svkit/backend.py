@@ -377,4 +377,9 @@ def load_backend(path) -> tuple[Backend, np.ndarray]:
         raise ValueError("bad backend file: missing cohort.means")
     if cohort.ndim != 2 or cohort.shape[1] != dim:
         raise ValueError(f"bad backend file: cohort.means is {cohort.shape}, not (n, {dim})")
+    if len(cohort) < 2:  # S-norm takes statistics over at least two cohort speakers
+        raise ValueError(f"bad backend file: cohort.means has {len(cohort)} row(s), not >= 2")
+    zero = np.flatnonzero(~cohort.any(axis=1))
+    if backend.kind == "cosine" and len(zero):
+        raise ValueError(f"bad backend file: cohort.means row {zero[0]} is a zero vector")
     return backend, cohort

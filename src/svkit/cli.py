@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error. Diagnostics go to
 stderr; results go to stdout or to the requested output files. Reruns
-with identical configuration and seeds produce byte-identical outputs.
+with identical configuration, seeds and BLAS thread count produce
+byte-identical outputs.
 """
 
 import argparse

@@ -6,8 +6,9 @@ the minDCF target prior. Each default is taken from the library class
 that owns it (``SnormConfig``, ``BackendConfig``, ``DcfParams``), so the
 reference operating point (top-X 300, PLDA ranks 312, p_target 0.05) is
 written once. The front-end recipe is fixed by the ``frontend`` module
-constants, the AAM operating point by ``aam.AamConfig``. Unknown keys
-and keys given twice are rejected.
+constants, the AAM operating point by ``aam.AamConfig``. Unknown keys,
+keys given twice and values out of the owning class's range are rejected
+with their line number.
 """
 
 from dataclasses import dataclass, fields
@@ -26,6 +27,16 @@ class PipelineConfig:
     plda_rank_channel: int = BackendConfig.rank_channel
     em_iters: int = BackendConfig.em_iters
     dcf_p_target: float = DcfParams.p_target
+
+
+# the keys whose range the owning class checks: (class, its field)
+_OWNER = {
+    "snorm_top_x": (SnormConfig, "top_x"),
+    "plda_rank_speaker": (BackendConfig, "rank_speaker"),
+    "plda_rank_channel": (BackendConfig, "rank_channel"),
+    "em_iters": (BackendConfig, "em_iters"),
+    "dcf_p_target": (DcfParams, "p_target"),
+}
 
 
 def _convert(name: str, kind, raw: str, lineno: int):
@@ -61,6 +72,12 @@ def parse_config(text: str) -> PipelineConfig:
         if key not in types:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         value = _convert(key, types[key], raw, lineno)
+        if key in _OWNER:
+            owner, field = _OWNER[key]
+            try:
+                owner(**{field: value})
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
         if key in first_line:
             raise ValueError(f"line {lineno}: config key {key!r} already set on line "
                              f"{first_line[key]}")

@@ -1,5 +1,7 @@
 """Deterministic synthetic data: embeddings drawn from a known two-subspace
-model, sampled trial lists, and a toy resonant-noise waveform corpus.
+model, sampled trial lists, and a toy resonant-noise waveform corpus. Its
+resonator is a numpy recurrence in ``scipy.signal.lfilter``'s operation
+order, bit-identical to lfilter, so the corpus needs no scipy.
 
 Randomness is split into purpose-keyed PCG64 streams (model, speaker,
 utterance, trials, waveform) so that, for a fixed seed, adding utterances
@@ -124,30 +126,38 @@ def oracle_scores(model: PldaModel, embeddings: np.ndarray, trials: TrialList) -
     return ScoreSet(list(trials.enroll), list(trials.test), scores)
 
 
-def _resonator(freq_hz: float, sample_rate: int):
-    theta = 2.0 * np.pi * freq_hz / sample_rate
-    r = RESONATOR_RADIUS
-    return [1.0], [1.0, -2.0 * r * np.cos(theta), r * r]
+def _resonator(freqs_hz: np.ndarray, sample_rate: int) -> tuple[np.ndarray, float]:
+    """Feedback coefficients of 1 / (1 + a1 z^-1 + a2 z^-2): a1 per frequency, and a2."""
+    # one scalar cos per frequency: a vector cos may take a SIMD path that rounds otherwise
+    a1 = [-2.0 * RESONATOR_RADIUS * np.cos(2.0 * np.pi * f / sample_rate) for f in freqs_hz]
+    return np.array(a1), RESONATOR_RADIUS * RESONATOR_RADIUS
+
+
+def _resonate(x: np.ndarray, a1: np.ndarray, a2: float) -> np.ndarray:
+    """Each row of ``x`` through 1 / (1 + a1[row] z^-1 + a2 z^-2) from rest, in lfilter's
+    order, y[n] = (-(y[n-2] a2) - y[n-1] a1) + x[n], a step per sample over all rows."""
+    y = np.concatenate([np.zeros((2, len(x))), x.T])  # one row per sample, two at rest
+    rows = list(y)
+    na1, na2 = -np.asarray(a1, dtype=np.float64), -a2  # -(v a) is v (-a), exactly
+    older, old = np.empty(len(x)), np.empty(len(x))
+    for y2, y1, yn in zip(rows, rows[1:], rows[2:]):
+        np.multiply(y2, na2, older)
+        np.add(older, np.multiply(y1, na1, old), older)
+        np.add(older, yn, yn)
+    return np.ascontiguousarray(y[2:].T)
 
 
 def gen_toy_corpus(spec: SynthSpec) -> tuple[list[Waveform], list[str]]:
     """Per-speaker resonant-filtered noise utterances with gain jitter; the
     resonances are spread evenly from 400 to 3600 Hz."""
-    import scipy.signal  # only ``svkit synth`` needs it, and it loads much of scipy
-
-    freqs = np.linspace(400.0, 3600.0, spec.num_speakers)
     n_samples = int(round(spec.duration_s * SAMPLE_RATE))
+    rngs = [_rng(spec.seed, _STREAM_WAVE, s, t)
+            for s in range(spec.num_speakers) for t in range(spec.utts_per_speaker)]
+    noise = np.array([rng.standard_normal(n_samples) for rng in rngs])
+    a1, a2 = _resonator(np.linspace(400.0, 3600.0, spec.num_speakers), SAMPLE_RATE)
     waves: list[Waveform] = []
-    labels: list[str] = []
-    for s, spk in enumerate(speaker_ids(spec)):
-        b, a = _resonator(freqs[s], SAMPLE_RATE)
-        for t in range(spec.utts_per_speaker):
-            rng = _rng(spec.seed, _STREAM_WAVE, s, t)
-            noise = rng.standard_normal(n_samples)
-            x = scipy.signal.lfilter(b, a, noise)
-            x *= 0.1 / np.sqrt(np.mean(x * x))
-            jitter_db = rng.uniform(-GAIN_JITTER_DB, GAIN_JITTER_DB)
-            x *= 10.0 ** (jitter_db / 20.0)
-            waves.append(Waveform(x, SAMPLE_RATE))
-            labels.append(spk)
-    return waves, labels
+    for x, rng in zip(_resonate(noise, np.repeat(a1, spec.utts_per_speaker), a2), rngs):
+        x *= 0.1 / np.sqrt(np.mean(x * x))
+        x *= 10.0 ** (rng.uniform(-GAIN_JITTER_DB, GAIN_JITTER_DB) / 20.0)
+        waves.append(Waveform(x, SAMPLE_RATE))
+    return waves, [spk for spk in speaker_ids(spec) for _ in range(spec.utts_per_speaker)]

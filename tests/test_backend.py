@@ -594,6 +594,28 @@ class TestBackendFile:
         assert loaded.kind == "cosine"
         np.testing.assert_allclose(cohort_back, cohort, atol=1e-6)
 
+    @pytest.mark.parametrize("kind", ["cosine", "plda"])
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_cohort_of_fewer_than_two_rows_rejected(self, tmp_path, kind, rows):
+        backend = (bk.Backend("cosine", np.zeros(2)) if kind == "cosine" else bk.Backend(
+            "plda", np.zeros(2), np.eye(2),
+            bk.PldaModel(np.zeros(2), np.ones((2, 1)), np.ones((2, 1)), np.ones(2))))
+        bk.save_backend(tmp_path / "b.svw", backend, np.ones((rows, 2)))
+        with pytest.raises(ValueError, match=rf"^bad backend file: cohort.means has {rows} "
+                                             r"row\(s\), not >= 2$"):
+            bk.load_backend(tmp_path / "b.svw")
+
+    def test_zero_cohort_row_rejected_for_cosine_only(self, tmp_path):
+        cohort = np.array([[0.5, -0.75], [0.0, 0.0], [0.0, 0.0]])
+        bk.save_backend(tmp_path / "cos.svw", bk.Backend("cosine", np.zeros(2)), cohort)
+        with pytest.raises(ValueError, match=r"^bad backend file: cohort.means row 1 is a zero "
+                                             r"vector$"):
+            bk.load_backend(tmp_path / "cos.svw")
+        plda = bk.Backend("plda", np.zeros(2), np.eye(2),
+                          bk.PldaModel(np.zeros(2), np.ones((2, 1)), np.ones((2, 1)), np.ones(2)))
+        bk.save_backend(tmp_path / "plda.svw", plda, cohort)  # PLDA scores a zero vector
+        np.testing.assert_array_equal(bk.load_backend(tmp_path / "plda.svw")[1], cohort)
+
     @pytest.mark.parametrize("drop, replace, message", [
         ("center.mean", {}, "center.mean must be a vector"),
         (None, {"center.mean": np.zeros((6, 1))}, "center.mean must be a vector"),

@@ -62,6 +62,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="line 2"):
             parse_config("em_iters = 1\nem_iters = two\n")
 
+    @pytest.mark.parametrize("setting, message", [
+        ("snorm_top_x = 1", "top_x must be >= 2"),
+        ("plda_rank_speaker = 0", "PLDA subspace ranks must be >= 1"),
+        ("plda_rank_channel = -3", "PLDA subspace ranks must be >= 1"),
+        ("em_iters = 0", "need at least one EM iteration"),
+        ("dcf_p_target = 1.0", r"p_target must be in \(0, 1\)"),
+    ])
+    def test_out_of_range_value_reports_line_with_the_owning_class_message(self, setting,
+                                                                           message):
+        with pytest.raises(ValueError, match=rf"^line 3: {message}$"):
+            parse_config(f"em_iters = 2\n\n{setting}\n")
+
     def test_repeated_key_names_both_lines(self):
         with pytest.raises(ValueError,
                            match=r"^line 3: config key 'em_iters' already set on line 1$"):
@@ -320,8 +332,23 @@ class TestPipelineChain:
                          "--labels", str(tmp_path / "labels.txt"), "--backend", "plda",
                          "--config", str(tmp_path / "svkit.cfg"),
                          "--out", str(tmp_path / "backend.svw")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: PLDA subspace ranks") and err.count("\n") == 1
+        assert capsys.readouterr().err == "error: line 1: PLDA subspace ranks must be >= 1\n"
+
+    @pytest.mark.parametrize("argv, setting, message", [
+        (["train_plda", "--embeddings", "missing.svw", "--labels", "missing.txt"],
+         "em_iters = 0", "need at least one EM iteration"),
+        (["snorm", "--backend-file", "missing.svw", "--embeddings", "missing.svw",
+          "--trials", "missing.txt", "--scores", "missing.scores"],
+         "snorm_top_x = 1", "top_x must be >= 2"),
+    ], ids=["train_plda-em_iters", "snorm-snorm_top_x"])
+    def test_out_of_range_value_names_its_line_before_any_input_is_read(
+            self, tmp_path, capsys, argv, setting, message):
+        (tmp_path / "svkit.cfg").write_text(f"apply_stmn = true\n{setting}\n")
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--config", str(tmp_path / "svkit.cfg"), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: line 2: {message}\n"
+        assert not out.exists()
 
     def test_train_plda_seed_sets_only_the_em_init(self, tmp_path):
         from svkit import tensorio
@@ -684,6 +711,9 @@ def write_fault_inputs(directory) -> None:
     save_scores(directory / "extra.scores", ScoreSet(enroll + ["x"], test + ["y"],
                                                      np.append(scores.scores, 0.0)))
     write_backend(directory / "backend.svw", "cosine")
+    cosine = backend.Backend("cosine", np.zeros(4))
+    backend.save_backend(directory / "one_cohort.svw", cosine, np.ones((1, 4)))
+    backend.save_backend(directory / "zero_cohort.svw", cosine, np.eye(4) * [1, 1, 0, 1])
     rng = np.random.default_rng(5)
     tensorio.write_tensors(directory / "emb.svw", {u: rng.standard_normal(4) for u in "abcd"})
     # a and -a for s0, 0 and b for s1, -b for s2: the training mean is 0
@@ -697,6 +727,7 @@ CALIBRATE_WITH = ["calibrate", "--scores", "a.scores", "--key"]
 FUSE_WITH = ["fuse", "--scores", "a.scores", "b.scores", "--key"]
 EVAL_WITH = ["eval", "--scores", "a.scores", "--key"]
 SNORM_ON = ["snorm", "--backend-file", "backend.svw", "--embeddings", "emb.svw"]
+SNORM_TRIALS = ["--embeddings", "emb.svw", "--trials", "trials.txt", "--scores", "a.scores"]
 TRAIN_ON = ["train_plda", "--embeddings", "cancel.svw", "--labels", "cancel_labels.txt"]
 
 # (argv without --out, the files the message must name, a fragment of the message)
@@ -726,6 +757,11 @@ FAULTS = {
                           ["empty.scores", "key.txt"], "key trial not scored: a b"),
     "eval-extra-trial": (["eval", "--scores", "extra.scores", "--key", "key.txt"],
                          ["extra.scores", "key.txt"], "trial not in key: x y"),
+    "snorm-one-cohort-row": (["snorm", "--backend-file", "one_cohort.svw"] + SNORM_TRIALS,
+                             ["one_cohort.svw"], "bad backend file: cohort.means has 1 row(s)"),
+    "snorm-zero-cohort-row": (["snorm", "--backend-file", "zero_cohort.svw"] + SNORM_TRIALS,
+                              ["zero_cohort.svw"],
+                              "bad backend file: cohort.means row 2 is a zero vector"),
     "train_plda-plda-at-mean": (TRAIN_ON + ["--backend", "plda"], ["cancel.svw"],
                                 "utterance u2: degenerate norm: zero vector"),
     "train_plda-cosine-cancelling-speaker": (TRAIN_ON + ["--backend", "cosine"],

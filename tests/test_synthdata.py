@@ -122,3 +122,67 @@ class TestGenToyCorpus:
         spec = sd.SynthSpec(seed=7, num_speakers=4, utts_per_speaker=5, duration_s=0.5)
         waves, _ = sd.gen_toy_corpus(spec)
         assert max(np.abs(w.samples).max() for w in waves) <= 1.0
+
+
+def lfilter_corpus(spec):
+    """The toy corpus as drawn with ``scipy.signal.lfilter``, one utterance at a time."""
+    import scipy.signal
+
+    freqs = np.linspace(400.0, 3600.0, spec.num_speakers)
+    n_samples = int(round(spec.duration_s * sd.SAMPLE_RATE))
+    r = sd.RESONATOR_RADIUS
+    waves = []
+    for s in range(spec.num_speakers):
+        a = [1.0, -2.0 * r * np.cos(2.0 * np.pi * freqs[s] / sd.SAMPLE_RATE), r * r]
+        for t in range(spec.utts_per_speaker):
+            rng = sd._rng(spec.seed, sd._STREAM_WAVE, s, t)
+            x = scipy.signal.lfilter([1.0], a, rng.standard_normal(n_samples))
+            x *= 0.1 / np.sqrt(np.mean(x * x))
+            x *= 10.0 ** (rng.uniform(-sd.GAIN_JITTER_DB, sd.GAIN_JITTER_DB) / 20.0)
+            waves.append(x)
+    return waves
+
+
+class TestResonate:
+    """``_resonate`` against ``scipy.signal.lfilter`` on the same all-pole filter, bit for bit."""
+
+    @staticmethod
+    def lfilter_rows(x, a1, a2):
+        import scipy.signal
+
+        return np.array([scipy.signal.lfilter([1.0], [1.0, c, a2], row) for row, c in zip(x, a1)])
+
+    @pytest.mark.parametrize("freq", [400.0, 1743.0, 3600.0])
+    @pytest.mark.parametrize("n_samples", [1, 2, 3, 16000])
+    def test_one_utterance_equals_lfilter(self, freq, n_samples):
+        a1, a2 = sd._resonator([freq], sd.SAMPLE_RATE)
+        x = np.random.default_rng(n_samples).standard_normal((1, n_samples))
+        y = sd._resonate(x, a1, a2)
+        assert y.shape == x.shape and y.flags.c_contiguous
+        assert np.array_equal(y, self.lfilter_rows(x, a1, a2))
+
+    def test_exact_zeros_equal_lfilter(self):
+        a1, a2 = sd._resonator([400.0, 3600.0], sd.SAMPLE_RATE)
+        x = np.random.default_rng(1).standard_normal((2, 500))
+        x[:, :7] = 0.0  # the filter at rest stays at rest
+        x[:, 200:260] = 0.0  # the ringing of a resonance with no input
+        x[1] = 0.0
+        y = sd._resonate(x, a1, a2)
+        assert not y[:, :7].any() and not y[1].any()
+        assert np.array_equal(y, self.lfilter_rows(x, a1, a2))
+
+    def test_several_utterances_at_once_equal_lfilter_row_by_row(self):
+        freqs = np.repeat(np.linspace(400.0, 3600.0, 5), 3)
+        a1, a2 = sd._resonator(freqs, sd.SAMPLE_RATE)
+        x = np.random.default_rng(2).standard_normal((len(freqs), 4000))
+        y = sd._resonate(x, a1, a2)
+        assert np.array_equal(y, self.lfilter_rows(x, a1, a2))
+        assert np.array_equal(y[4], sd._resonate(x[4:5], a1[4:5], a2)[0])
+
+    def test_corpus_equals_the_lfilter_corpus(self):
+        spec = sd.SynthSpec(seed=12, num_speakers=6, utts_per_speaker=3, duration_s=1.0)
+        waves, labels = sd.gen_toy_corpus(spec)
+        assert labels == [f"spk{s:03d}" for s in range(6) for _ in range(3)]
+        expected = lfilter_corpus(spec)
+        assert len(waves) == len(expected)
+        assert all(np.array_equal(w.samples, x) for w, x in zip(waves, expected))
