@@ -159,18 +159,18 @@ def cmd_embed(args) -> int:
     feat_paths = _inputs(args.feats_dir, "*.feat", "feature files")
     with _naming(feat_paths[0]):
         dim = tensorio.read_feature_matrix(feat_paths[0]).shape[1]
+    with _naming(args.config):  # an embedding_dim that the --arch does not take
+        spec = nnet.make_spec(args.arch, dim, 2, cfg.embedding_dim or None)
     if args.weights:
         weights = _load_named(tensorio.read_tensors, args.weights)
-        spec = nnet.make_spec(args.arch, dim, nnet.num_classes_of(args.arch, weights),
-                              cfg.embedding_dim or None)
         with _naming(args.weights):  # tensors that do not fit the network
+            spec = nnet.make_spec(args.arch, dim, nnet.num_classes_of(args.arch, weights),
+                                  cfg.embedding_dim or None)
             nonfinite = [name for name, w in weights.items() if not np.all(np.isfinite(w))]
             if nonfinite:
                 raise ValueError(f"non-finite values in {nonfinite[0]}")
-            net = nnet.prepare(spec, weights)
-        del weights  # the network holds what its forward pass reads, not the file's tensors
+            net = nnet.prepare(spec, weights)  # which moves the file's tensors out of ``weights``
     else:
-        spec = nnet.make_spec(args.arch, dim, 2, cfg.embedding_dim or None)
         net = nnet.prepare(spec, nnet.init_weights(spec, args.seed))
     out: dict[str, np.ndarray] = {}
     for path in feat_paths:

@@ -1,12 +1,15 @@
 """Embedding extractors: TDNN x-vector variants and the ResNet34 r-vector.
 
-Network specs are declarative layer descriptions. ``prepare`` lays out once, in
-the weights' dtype, what inference reads; it is deterministic numpy, with batch
-norm on stored running statistics. ``svkit embed`` runs float32, the tests'
-reference float64. TDNN frame layers apply splice, affine, ReLU, batch norm; the
-embedding is the float64 pre-activation output of the first segment-level
-affine. The ResNet folds each batch norm into its conv, pools its last map with the
-same ``stats_pooling`` and taps the embedding before the Dense1 nonlinearity.
+Network specs are declarative layer descriptions. ``prepare`` moves the tensors
+out of the dict it is given and lays out once, in the weights' dtype, what
+inference reads, so a network holds each weight once; it is deterministic numpy,
+with batch norm on stored running statistics. ``svkit embed`` runs float32, the
+tests' reference float64. TDNN frame layers apply splice, affine, ReLU, batch
+norm; the embedding is the float64 pre-activation output of the first
+segment-level affine, whose weight is stored in the network's dtype like every
+other tensor and widened to float64 one block of rows at a time. The ResNet folds
+each batch norm into its conv, pools its last map with the same ``stats_pooling``
+and taps the embedding before the Dense1 nonlinearity.
 """
 
 from collections.abc import Iterator, Mapping
@@ -19,6 +22,9 @@ import numpy as np
 BN_EPS = 1e-5
 STD_FLOOR = 1e-10
 BN_STATS = ("scale", "shift", "mean", "var")
+
+INIT_BLOCK = 1 << 16  # values ``init_weights`` draws per call
+SEGMENT_ROWS = 64  # segment1 rows ``forward_tdnn`` widens to float64 at a time
 
 TDNN_KINDS = ("tdnn-standard", "tdnn-big", "tdnn-big-residual")
 ARCH_KINDS = TDNN_KINDS + ("resnet34",)
@@ -221,14 +227,21 @@ def tensor_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
 
 
 def init_weights(spec: NetworkSpec, seed: int) -> dict[str, np.ndarray]:
-    """Seeded initialization: uniform +-sqrt(6/fan_in) weights, unit batch norm."""
+    """Seeded initialization: uniform +-sqrt(6/fan_in) weights, unit batch norm.
+
+    Each weight is drawn ``INIT_BLOCK`` values at a time into its float32 array:
+    the same stream and values as one float64 draw of the whole tensor, cast."""
     rng = np.random.default_rng(seed)
     weights: dict[str, np.ndarray] = {}
     for name, shape in tensor_shapes(spec).items():
         if name.endswith(".weight"):
             fan_in = int(np.prod(shape[1:]))
             bound = np.sqrt(6.0 / fan_in)
-            weights[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+            weights[name] = w = np.empty(shape, dtype=np.float32)
+            flat = w.reshape(-1)
+            for start in range(0, flat.size, INIT_BLOCK):
+                block = flat[start : start + INIT_BLOCK]
+                block[...] = rng.uniform(-bound, bound, size=block.size)
         elif name.endswith(".bias") or name.endswith(".shift") or name.endswith(".mean"):
             weights[name] = np.zeros(shape, dtype=np.float32)
         else:  # .scale / .var
@@ -258,21 +271,30 @@ class Network:
     layers: Mapping[str, tuple[np.ndarray, ...]]
 
 
-def _bn_stats(weights: Mapping[str, np.ndarray], prefix: str, dtype) -> tuple[np.ndarray, ...]:
-    """(mean, inv, shift) of batch norm ``prefix`` in ``dtype``: y = (x - mean) inv + shift."""
-    scale, shift, mean, var = (weights[f"{prefix}.{s}"].astype(dtype, copy=False) for s in BN_STATS)
+def _bn_stats(weights: dict[str, np.ndarray], prefix: str, dtype) -> tuple[np.ndarray, ...]:
+    """(mean, inv, shift) of batch norm ``prefix`` in ``dtype``, moved out of ``weights``:
+    y = (x - mean) inv + shift."""
+    scale, shift, mean, var = (weights.pop(f"{prefix}.{s}").astype(dtype, copy=False)
+                               for s in BN_STATS)
     return mean, scale / np.sqrt(var + BN_EPS), shift
 
 
-def _affine(weights: Mapping[str, np.ndarray], name: str, dtype) -> tuple[np.ndarray, ...]:
-    return tuple(weights[f"{name}.{part}"].astype(dtype, copy=False) for part in ("weight", "bias"))
+def _affine(weights: dict[str, np.ndarray], name: str, dtype) -> tuple[np.ndarray, ...]:
+    return tuple(weights.pop(f"{name}.{part}").astype(dtype, copy=False)
+                 for part in ("weight", "bias"))
 
 
 def prepare(spec: NetworkSpec, weights: dict[str, np.ndarray]) -> Network:
     """Validate ``weights`` against ``spec`` once and lay out, in their dtype, what the
-    forward passes read. A ResNet conv -> batch norm pair becomes its kernel, each
-    output row scaled by inv (in float64, with no float64 copy of the kernel), and a
-    bias of shift - mean inv: exact, since the zero padding comes before the conv."""
+    forward passes read.
+
+    Each tensor is moved out of ``weights``, which is left empty, so the network
+    holds each weight once; a caller that keeps its tensors passes ``dict(weights)``.
+    A ResNet conv -> batch norm pair becomes its kernel, each output row scaled by
+    inv (in float64, with no float64 copy of the kernel), and a bias of
+    shift - mean inv: exact, since the zero padding comes before the conv. Each
+    unfolded kernel is freed once its folded copy exists. segment2, softmax and
+    dense2, which no forward pass reads, are dropped."""
     validate_weights(spec, weights)
     dtype = np.result_type(*{w.dtype for w in weights.values()})
     layers: dict[str, tuple[np.ndarray, ...]] = {}
@@ -280,14 +302,15 @@ def prepare(spec: NetworkSpec, weights: dict[str, np.ndarray]) -> Network:
         for layer in spec.frame_layers:
             layers[layer.name] = (*_affine(weights, layer.name, dtype),
                                   *_bn_stats(weights, f"{layer.name}.bn", dtype))
-        layers["segment1"] = _affine(weights, "segment1", np.float64)  # as the pooled statistics
+        layers["segment1"] = _affine(weights, "segment1", dtype)
     else:
         for conv, bn, shape in _resnet_convs(spec):
             mean, inv, shift = _bn_stats(weights, bn, np.float64)
-            w = weights[f"{conv}.weight"].reshape(shape[0], -1)
+            w = weights.pop(f"{conv}.weight").reshape(shape[0], -1)
             kern = np.multiply(w, inv[:, None], out=np.empty(w.shape, dtype), casting="unsafe")
             layers[conv] = (kern, (shift - mean * inv).astype(dtype))
         layers["dense1"] = _affine(weights, "dense1", dtype)
+    weights.clear()
     return Network(spec, dtype, MappingProxyType(layers))
 
 
@@ -308,52 +331,77 @@ def _frames_in(frames: np.ndarray, net: Network, dim: int, min_frames: int) -> n
 
 
 def forward_tdnn(frames: np.ndarray, net: Network) -> np.ndarray:
-    """Float64 embedding of a float32 or float64 feature matrix (frames x input_dim)."""
+    """Float64 embedding of a float32 or float64 feature matrix (frames x input_dim).
+
+    segment1 multiplies the float64 pooled statistics ``SEGMENT_ROWS`` weight rows
+    at a time, each block widened to float64: the bits of one float64 GEMV."""
     x = _frames_in(frames, net, net.spec.input_dim, 1)
     for layer in net.spec.frame_layers:
         weight, bias, mean, inv, shift = net.layers[layer.name]
         y = (np.maximum(splice(x, layer.offsets) @ weight.T + bias, 0.0) - mean) * inv + shift
         x = y + x if layer.residual else y
     weight, bias = net.layers["segment1"]
-    return weight @ stats_pooling(x) + bias
+    pooled = stats_pooling(x)
+    out = np.empty(weight.shape[0])
+    for r in range(0, len(out), SEGMENT_ROWS):
+        out[r : r + SEGMENT_ROWS] = weight[r : r + SEGMENT_ROWS].astype(np.float64) @ pooled
+    return out + bias
 
 
 def _gemm(kern: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``kern`` times ``x`` (c_in [x taps] x freq x time) plus ``bias``, per output channel."""
     *_, h, t = x.shape
-    return (kern @ x.reshape(kern.shape[1], h * t) + bias[:, None]).reshape(-1, h, t)
+    y = kern @ x.reshape(kern.shape[1], h * t)
+    y += bias[:, None]
+    return y.reshape(-1, h, t)
+
+
+def _tap(k: int, size: int, size_out: int, stride: int) -> tuple[int, int, int]:
+    """For tap ``k`` of a padding-1 kernel: the outputs [lo, hi) that read an input
+    row, and the first input row they read; the others read the zero border."""
+    lo = 1 if k == 0 else 0
+    hi = min(size_out, (size - k) // stride + 1)
+    return lo, hi, stride * lo + k - 1
 
 
 def _conv2d(x: np.ndarray, kern: np.ndarray, bias: np.ndarray, stride: int) -> np.ndarray:
     """3x3 convolution with padding 1, plus a bias; x is (channels, freq, time).
 
     Lowered to one GEMM (im2col): the nine shifted, strided views of the
-    padded input are copied into a (c_in, 3, 3, h_out, t_out) buffer, which
-    the (c_out, 9 c_in) kernel multiplies.
+    input are copied into a (c_in, 3, 3, h_out, t_out) buffer, which the
+    (c_out, 9 c_in) kernel multiplies. Where a view would read the padding,
+    its border strip is zeroed, so no padded copy of the input is made.
     """
     c_in, h, t = x.shape
     h_out, t_out = (h - 1) // stride + 1, (t - 1) // stride + 1
-    xp = np.zeros((c_in, h + 2, t + 2), dtype=x.dtype)
-    xp[:, 1:-1, 1:-1] = x
     cols = np.empty((c_in, 3, 3, h_out, t_out), dtype=x.dtype)
     for di in range(3):
+        i_lo, i_hi, i_in = _tap(di, h, h_out, stride)
         for dj in range(3):
-            cols[:, di, dj] = xp[:, di : di + stride * (h_out - 1) + 1 : stride,
-                                 dj : dj + stride * (t_out - 1) + 1 : stride]
+            j_lo, j_hi, j_in = _tap(dj, t, t_out, stride)
+            c = cols[:, di, dj]
+            c[:, :i_lo] = c[:, i_hi:] = c[:, :, :j_lo] = c[:, :, j_hi:] = 0
+            c[:, i_lo:i_hi, j_lo:j_hi] = x[:, i_in::stride, j_in::stride][:, : i_hi - i_lo,
+                                                                          : j_hi - j_lo]
     return _gemm(kern, bias, cols)
+
+
+def _relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0, out=x)
 
 
 def forward_resnet(frames: np.ndarray, net: Network) -> np.ndarray:
     """Embedding, in the network's dtype, of a feature matrix (frames x input_freq)."""
     t = net.layers
     x = _frames_in(frames, net, net.spec.input_freq, 8).T[None, :, :]  # (1 channel, freq, time)
-    x = np.maximum(_conv2d(x, *t["conv1"], 1), 0.0)
+    x = _relu(_conv2d(x, *t["conv1"], 1))
     for blk in _resnet_blocks(net.spec):
         p = blk.name
-        y = _conv2d(np.maximum(_conv2d(x, *t[f"{p}.conv1"], blk.stride), 0.0), *t[f"{p}.conv2"], 1)
+        y = _conv2d(_relu(_conv2d(x, *t[f"{p}.conv1"], blk.stride)), *t[f"{p}.conv2"], 1)
         if blk.proj:  # project the shortcut to the block's output shape
             x = _gemm(*t[f"{p}.proj"], x[:, ::blk.stride, ::blk.stride])
-        x = np.maximum(y + x, 0.0)
+        y += x
+        x = _relu(y)
     weight, bias = t["dense1"]  # its columns: means, then deviations, each freq-major
     pooled = stats_pooling(x.transpose(2, 1, 0).reshape(x.shape[2], -1))  # time x (freq, channel)
     return weight @ pooled.astype(weight.dtype) + bias

@@ -691,8 +691,8 @@ class TestSvw1Inputs:
 
 
 def write_fault_inputs(directory) -> None:
-    """Valid inputs of ``calibrate``, ``fuse``, ``eval``, ``snorm`` and ``train_plda``
-    in ``directory``, and the faulty files of ``FAULTS``."""
+    """Valid inputs of ``calibrate``, ``fuse``, ``eval``, ``snorm``, ``train_plda`` and
+    ``embed`` in ``directory``, and the faulty files of ``FAULTS``."""
     from svkit import tensorio
 
     enroll, test, labels = ["a", "c", "a", "b"], ["b", "d", "c", "d"], [True, True, False, False]
@@ -721,6 +721,12 @@ def write_fault_inputs(directory) -> None:
     tensorio.write_tensors(directory / "cancel.svw",
                            {"u0": a, "u1": -a, "u2": np.zeros(4), "u3": b, "u4": -b})
     (directory / "cancel_labels.txt").write_text("u0 s0\nu1 s0\nu2 s1\nu3 s1\nu4 s2\n")
+    (directory / "feats").mkdir()
+    tensorio.write_feature_matrix(directory / "feats" / "u0.feat", np.zeros((20, 40)))
+    # the classifier is all embed reads of a weight file before it builds the spec
+    tensorio.write_tensors(directory / "one_class.svw",
+                           {"softmax.weight": np.zeros((1, 512), dtype=np.float32)})
+    (directory / "dim128.cfg").write_text("embedding_dim = 128\n", encoding="utf-8")
 
 
 CALIBRATE_WITH = ["calibrate", "--scores", "a.scores", "--key"]
@@ -729,6 +735,7 @@ EVAL_WITH = ["eval", "--scores", "a.scores", "--key"]
 SNORM_ON = ["snorm", "--backend-file", "backend.svw", "--embeddings", "emb.svw"]
 SNORM_TRIALS = ["--embeddings", "emb.svw", "--trials", "trials.txt", "--scores", "a.scores"]
 TRAIN_ON = ["train_plda", "--embeddings", "cancel.svw", "--labels", "cancel_labels.txt"]
+EMBED_ON = ["embed", "--feats-dir", "feats", "--arch"]
 
 # (argv without --out, the files the message must name, a fragment of the message)
 FAULTS = {
@@ -767,6 +774,10 @@ FAULTS = {
     "train_plda-cosine-cancelling-speaker": (TRAIN_ON + ["--backend", "cosine"],
                                              ["cancel_labels.txt"],
                                              "speaker s0: degenerate norm: zero vector"),
+    "embed-one-class-weights": (EMBED_ON + ["tdnn-standard", "--weights", "one_class.svw"],
+                                ["one_class.svw"], "num_classes must be >= 2"),
+    "embed-bad-embedding-dim": (EMBED_ON + ["resnet34", "--config", "dim128.cfg"],
+                                ["dim128.cfg"], "resnet34 embedding_dim must be 256 or 160"),
 }
 
 
@@ -776,7 +787,7 @@ def test_fault_names_each_faulty_file_once(tmp_path, capsys, argv, faulty, messa
     other input file, and no output file."""
     write_fault_inputs(tmp_path)
     out = tmp_path / "out"
-    assert cli.main([str(tmp_path / a) if (tmp_path / a).is_file() else a for a in argv]
+    assert cli.main([str(tmp_path / a) if (tmp_path / a).exists() else a for a in argv]
                     + ["--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -68,6 +68,18 @@ def held_nbytes(obj):
     return sum(held_nbytes(v) for v in vars(obj).values()) if hasattr(obj, "__dict__") else 0
 
 
+def tdnn_frames_ref(x, spec, w):
+    """TDNN frame layers in the dtype of ``x`` and ``w``: splice, affine, ReLU, batch norm."""
+    h = x
+    for layer in spec.frame_layers:
+        n = layer.name
+        y = np.maximum(nnet.splice(h, layer.offsets) @ w[f"{n}.weight"].T + w[f"{n}.bias"], 0.0)
+        scale, var, mean, shift = (w[f"{n}.bn.{s}"] for s in ("scale", "var", "mean", "shift"))
+        y = (y - mean) * (scale / np.sqrt(var + nnet.BN_EPS)) + shift
+        h = y + h if layer.residual else y
+    return h
+
+
 def tdnn_oracle(x, spec, w):
     """Float64 TDNN forward: explicit clamped splice, affine, ReLU, batch norm, pooling."""
     n = len(x)
@@ -178,6 +190,17 @@ class TestInitWeights:
         assert w["frame1.weight"].shape == (1024, 150)
         assert np.abs(w["frame1.weight"]).max() <= np.sqrt(6.0 / 150.0)
 
+    @pytest.mark.parametrize("kind", ["resnet34", "tdnn-standard", "tdnn-big-residual"])
+    def test_blocked_draw_equals_one_shot_draw(self, kind):
+        spec = nnet.make_spec(kind, 40, 2)
+        w = nnet.init_weights(spec, 3)
+        rng = np.random.default_rng(3)
+        for name, shape in nnet.tensor_shapes(spec).items():
+            if name.endswith(".weight"):
+                bound = np.sqrt(6.0 / int(np.prod(shape[1:])))
+                expected = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+                assert w[name].dtype == np.float32 and np.array_equal(w[name], expected), name
+
     def test_bn_defaults(self):
         w = nnet.init_weights(MICRO_TDNN, 0)
         assert np.all(w["frame1.bn.scale"] == 1.0)
@@ -229,17 +252,18 @@ class TestForwardTdnn:
     def test_time_shift_robustness_exact(self):
         w = nnet.init_weights(MICRO_TDNN, 1)
         row = np.array([0.3, -1.1, 0.7])
-        base = nnet.forward_tdnn(np.tile(row, (4, 1)), nnet.prepare(MICRO_TDNN, w))
+        base = nnet.forward_tdnn(np.tile(row, (4, 1)), nnet.prepare(MICRO_TDNN, dict(w)))
         for extra in (1, 3, 60):
-            padded = nnet.forward_tdnn(np.tile(row, (4 + extra, 1)), nnet.prepare(MICRO_TDNN, w))
+            padded = nnet.forward_tdnn(np.tile(row, (4 + extra, 1)),
+                                       nnet.prepare(MICRO_TDNN, dict(w)))
             assert np.array_equal(base, padded)
 
     def test_deterministic(self):
         w = nnet.init_weights(MICRO_TDNN, 2)
         x = np.random.default_rng(9).standard_normal((6, 3))
         assert np.array_equal(
-            nnet.forward_tdnn(x, nnet.prepare(MICRO_TDNN, w)),
-            nnet.forward_tdnn(x, nnet.prepare(MICRO_TDNN, w)),
+            nnet.forward_tdnn(x, nnet.prepare(MICRO_TDNN, dict(w))),
+            nnet.forward_tdnn(x, nnet.prepare(MICRO_TDNN, dict(w))),
         )
 
     def test_residual_zero_map_is_identity_on_pair(self):
@@ -268,7 +292,7 @@ class TestForwardTdnn:
         )
         w = random_bn(nnet.init_weights(spec, 5), 6)
         x = np.random.default_rng(7).standard_normal((11, 3))
-        np.testing.assert_allclose(nnet.forward_tdnn(x, nnet.prepare(spec, w)),
+        np.testing.assert_allclose(nnet.forward_tdnn(x, nnet.prepare(spec, dict(w))),
                                    tdnn_oracle(x, spec, w), rtol=0, atol=1e-12)
 
 
@@ -319,7 +343,36 @@ def resnet_oracle(frames, spec, w):
     return f("dense1.weight") @ pooled + f("dense1.bias")
 
 
+def padded_conv2d(x, kern, bias, stride):
+    """im2col over a zero-padded copy of ``x``: nine shifted, strided views of the
+    padded input in one buffer, times the GEMM-shaped kernel, plus the bias."""
+    c_in, h, t = x.shape
+    h_out, t_out = (h - 1) // stride + 1, (t - 1) // stride + 1
+    xp = np.zeros((c_in, h + 2, t + 2), dtype=x.dtype)
+    xp[:, 1:-1, 1:-1] = x
+    cols = np.empty((c_in, 3, 3, h_out, t_out), dtype=x.dtype)
+    for di in range(3):
+        for dj in range(3):
+            cols[:, di, dj] = xp[:, di : di + stride * (h_out - 1) + 1 : stride,
+                                 dj : dj + stride * (t_out - 1) + 1 : stride]
+    return (kern @ cols.reshape(kern.shape[1], h_out * t_out) + bias[:, None]).reshape(
+        -1, h_out, t_out)
+
+
 class TestConv2d:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("frames", [8, 9, 33, 97, 98])
+    @pytest.mark.parametrize("freq", [40, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_pad_free_im2col_equals_padded_im2col(self, stride, freq, frames, dtype):
+        rng = np.random.default_rng(frames + freq + stride)
+        x = rng.standard_normal((4, freq, frames)).astype(dtype)
+        kern = rng.standard_normal((8, 36)).astype(dtype)
+        bias = rng.standard_normal(8).astype(dtype)
+        out = nnet._conv2d(x, kern, bias, stride)
+        assert out.dtype == dtype
+        assert np.array_equal(out, padded_conv2d(x, kern, bias, stride))
+
     @pytest.mark.parametrize("stride", [1, 2])
     def test_matches_conv_oracle_on_odd_sizes(self, stride):
         rng = np.random.default_rng(11 + stride)
@@ -366,7 +419,8 @@ class TestForwardResnet:
         # stem, both convs of a block and the projection shortcut each fold a norm
         w = random_bn(nnet.init_weights(STRIDED_RESNET, 4), 8)
         frames = np.random.default_rng(6).standard_normal((9, 5))
-        np.testing.assert_allclose(nnet.forward_resnet(frames, nnet.prepare(STRIDED_RESNET, w)),
+        np.testing.assert_allclose(nnet.forward_resnet(frames,
+                                                       nnet.prepare(STRIDED_RESNET, dict(w))),
                                    resnet_oracle(frames, STRIDED_RESNET, w), rtol=0, atol=1e-10)
 
     def test_zero_dense_zero_embedding(self):
@@ -403,7 +457,7 @@ class TestFloat32Path:
     def test_close_to_float64_and_deterministic(self, kind, num_frames):
         spec = nnet.make_spec(kind, 40, 2)
         w = nnet.init_weights(spec, 5)
-        net = nnet.prepare(spec, w)
+        net = nnet.prepare(spec, dict(w))
         assert net.dtype == np.float32
         x = np.random.default_rng(num_frames).standard_normal((num_frames, 40))
         ref = nnet.forward(x, nnet.prepare(spec, float64(w)))
@@ -419,26 +473,67 @@ class TestFloat32Path:
         spec = nnet.tdnn_spec(kind, 40, 2)
         w = {k: v.astype(np.float32) for k, v in random_bn(nnet.init_weights(spec, 3), 4).items()}
         x = np.random.default_rng(2).standard_normal((98, 40)).astype(np.float32)
-        h = x  # splice, affine, ReLU and batch norm, all float32
-        for layer in spec.frame_layers:
-            n = layer.name
-            y = np.maximum(nnet.splice(h, layer.offsets) @ w[f"{n}.weight"].T + w[f"{n}.bias"], 0.0)
-            scale, var, mean, shift = (w[f"{n}.bn.{s}"] for s in ("scale", "var", "mean", "shift"))
-            y = (y - mean) * (scale / np.sqrt(var + nnet.BN_EPS)) + shift
-            h = y + h if layer.residual else y
+        h = tdnn_frames_ref(x, spec, w)
         assert h.dtype == np.float32
         expected = w["segment1.weight"].astype(np.float64) @ nnet.stats_pooling(h) \
             + w["segment1.bias"]
         assert np.array_equal(nnet.forward_tdnn(x, nnet.prepare(spec, w)), expected)
+
+    @pytest.mark.parametrize("num_frames", [1, 5, 300])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_blocked_segment1_is_the_float64_gemv(self, dtype, num_frames):
+        # segment1 is stored in the network's dtype and widened SEGMENT_ROWS rows at a time
+        spec = nnet.tdnn_spec("tdnn-big", 30, 2)
+        w = {k: v.astype(dtype) for k, v in random_bn(nnet.init_weights(spec, 6), 7).items()}
+        assert w["segment1.weight"].shape == (512, 4000)
+        x = np.random.default_rng(num_frames).standard_normal((num_frames, 30)).astype(dtype)
+        expected = w["segment1.weight"].astype(np.float64) @ nnet.stats_pooling(
+            tdnn_frames_ref(x, spec, w)) + w["segment1.bias"]
+        net = nnet.prepare(spec, w)
+        assert net.layers["segment1"][0].dtype == dtype
+        assert np.array_equal(nnet.forward_tdnn(x, net), expected)
+
+    @pytest.mark.parametrize("kind", ["resnet34", "tdnn-standard"])
+    def test_prepare_moves_every_tensor_out_of_its_dict(self, kind):
+        spec = nnet.make_spec(kind, 40, 2)
+        w = nnet.init_weights(spec, 0)
+        kept = dict(w)
+        net = nnet.prepare(spec, w)
+        assert w == {}
+        # a tensor already in the network's dtype is held as is, not copied
+        assert net.layers["dense1" if kind == "resnet34" else "segment1"][0] is (
+            kept["dense1.weight" if kind == "resnet34" else "segment1.weight"])
 
     @pytest.mark.parametrize("kind", ["resnet34", "tdnn-standard"])
     def test_network_holds_no_more_than_its_weights(self, kind):
         spec = nnet.make_spec(kind, 40, 2)
         w = nnet.init_weights(spec, 0)
         allowed = sum(v.nbytes for v in w.values())
-        if kind != "resnet34":  # and segment1 once in float64
-            allowed += w["segment1.weight"].size * np.dtype(np.float64).itemsize
         assert held_nbytes(nnet.prepare(spec, w)) <= allowed
+
+    # tracemalloc peak of one in-process ``svkit embed`` over three 98-frame files, as
+    # a multiple of the network's float32 weight bytes: 1.26 (resnet34) and 1.18
+    # (tdnn-standard) when each weight is held once; 1.91 and 1.51 with the caller's
+    # ResNet kernels next to the folded ones and a float64 copy of TDNN segment1
+    @pytest.mark.parametrize("arch, bound", [("resnet34", 1.5), ("tdnn-standard", 1.35)])
+    def test_embed_holds_each_weight_once(self, tmp_path, arch, bound):
+        from svkit import cli
+
+        (tmp_path / "feats").mkdir()
+        rng = np.random.default_rng(0)
+        for i in range(3):
+            tensorio.write_feature_matrix(tmp_path / "feats" / f"u{i}.feat",
+                                          rng.standard_normal((98, 40)))
+        weight_bytes = 4 * sum(int(np.prod(shape)) for shape in
+                               nnet.tensor_shapes(nnet.make_spec(arch, 40, 2)).values())
+        tracemalloc.start()
+        try:
+            assert cli.main(["embed", "--feats-dir", str(tmp_path / "feats"), "--arch", arch,
+                             "--out", str(tmp_path / "emb.svw")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * weight_bytes
 
     def test_resnet_peak_memory_on_1000_frames(self):
         spec = nnet.resnet_spec(2)
