@@ -11,17 +11,16 @@ Odyssey 2010): all d - r other directions cancel, so a pair costs two
 r x d matrix-vector products once the model is factored (``PldaModel.scorer``).
 
 EM integrates w out (within-class covariance Sigma_w = U U^T + psi) and
-needs one Cholesky of Sigma_w and one eigendecomposition of
-V^T Sigma_w^-1 V per iteration. The utterances are read once, into
+needs one Cholesky and one inverse of Sigma_w and one eigendecomposition
+of V^T Sigma_w^-1 V per iteration. The utterances are read once, into
 per-speaker sums and a d x d scatter matrix, so an iteration costs O(d^3)
 plus GEMMs over the speakers, independent of the sessions per speaker.
 
 Preprocessing order is fixed: center, LDA, length-normalize for the PLDA
 path; centering only for the cosine path.
 
-``scipy.linalg`` is imported inside the four functions that factor
-matrices, so a process that loads this module for cosine scoring or
-file I/O does not load scipy.
+Every factorization is ``numpy.linalg``, which does not check its input
+for NaNs and infinities; ``_cholesky`` does, and names the matrix.
 """
 
 import functools
@@ -87,16 +86,11 @@ class PldaModel:
         ``plus_mu`` = 2 plus mu. Directions with lambda = 0 have P = 0 and add
         nothing. A model whose within covariance is not positive definite
         raises ValueError at first use."""
-        import scipy.linalg
-
         if np.any(self.psi <= 0.0):
             raise ValueError("within covariance not positive definite")
-        try:
-            cho = scipy.linalg.cho_factor(self.U @ self.U.T + np.diag(self.psi))
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("within covariance not positive definite") from exc
-        sw_v = scipy.linalg.cho_solve(cho, self.V)  # Sigma_w^-1 V
-        lam, q = scipy.linalg.eigh(self.V.T @ sw_v)
+        within = self.U @ self.U.T + np.diag(self.psi)
+        sw_v = _inverse(within, "within covariance")[0] @ self.V
+        lam, q = np.linalg.eigh(self.V.T @ sw_v)
         lam = np.maximum(lam, 0.0)
         g_plus = 0.5 / np.sqrt((1.0 + lam) * (1.0 + 2.0 * lam))
         g_minus = 0.5 / np.sqrt(1.0 + lam)
@@ -106,15 +100,22 @@ class PldaModel:
         return plus, 2.0 * plus.dot(self.mu), minus, const
 
 
-def _inverse(mat: np.ndarray, what: str) -> np.ndarray:
-    """Inverse of a symmetric matrix from one Cholesky factor."""
-    import scipy.linalg
-
+def _cholesky(mat: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric matrix; a non-finite or not positive
+    definite one is a ValueError that names it."""
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"non-finite {what}")
     try:
-        cho = scipy.linalg.cho_factor(mat)
+        return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"{what} not positive definite") from exc
-    return scipy.linalg.cho_solve(cho, np.eye(len(mat)))
+
+
+def _inverse(mat: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """Inverse and log-determinant of a symmetric positive definite matrix; the
+    Cholesky factor that checks it gives the log-determinant."""
+    chol = _cholesky(mat, what)
+    return np.linalg.inv(mat), 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
 def estimate_center(embeddings: np.ndarray) -> np.ndarray:
@@ -155,27 +156,26 @@ def train_lda(embeddings: np.ndarray, labels) -> np.ndarray:
     Solves the generalized eigenproblem S_b v = lambda S_w v with the
     within-class scatter regularized by LDA_EPSILON * trace(S_w)/d. All d
     eigenvectors are kept; directions beyond rank(S_b) come out of the
-    same S_w-orthogonal basis.
+    same S_w-orthogonal basis. With S_w = L L^T the problem is the symmetric
+    one of L^-1 S_b L^-T, whose eigenvectors y give v = L^-T y.
     """
-    import scipy.linalg
-
     x = np.asarray(embeddings, dtype=np.float64)
     n, d = x.shape
     cls, counts, sums = speaker_sums(x, labels)
     if len(counts) < 2:
         raise ValueError("LDA needs at least two classes")
-    means = sums / counts[:, None]
-    diff = x - means[cls]
-    gap = means - x.mean(axis=0)
-    s_w = diff.T @ diff / n
-    s_b = (gap.T * counts) @ gap / n
-    s_w += (LDA_EPSILON * np.trace(s_w) / d) * np.eye(d)
-    try:
-        eigvals, eigvecs = scipy.linalg.eigh(s_b, s_w)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular within-class scatter") from exc
-    order = np.argsort(eigvals)[::-1]
-    return eigvecs[:, order].T
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        means = sums / counts[:, None]
+        diff = x - means[cls]
+        gap = means - x.mean(axis=0)
+        s_w = diff.T @ diff / n
+        s_b = (gap.T * counts) @ gap / n
+        s_w[np.diag_indices(d)] += LDA_EPSILON * np.trace(s_w) / d
+    l_inv = np.linalg.inv(_cholesky(s_w, "within-class scatter"))
+    if not np.all(np.isfinite(s_b)):
+        raise ValueError("non-finite between-class scatter")
+    y = np.linalg.eigh(l_inv @ s_b @ l_inv.T)[1]  # ascending eigenvalues
+    return y[:, ::-1].T @ l_inv
 
 
 def train_plda(embeddings: np.ndarray, labels, cfg: BackendConfig = BackendConfig()) -> PldaModel:
@@ -195,8 +195,6 @@ def train_plda(embeddings: np.ndarray, labels, cfg: BackendConfig = BackendConfi
     the per-speaker sums and the scatter matrix, so one iteration costs
     O(d^3) plus GEMMs over the speakers, whatever the sessions per speaker.
     """
-    import scipy.linalg
-
     x = np.asarray(embeddings, dtype=np.float64)
     n, d = x.shape
     rs, rc = cfg.rank_speaker, cfg.rank_channel
@@ -221,11 +219,11 @@ def train_plda(embeddings: np.ndarray, labels, cfg: BackendConfig = BackendConfi
     trace = np.zeros(cfg.em_iters)
     for it in range(cfg.em_iters):
         ut_lam = u.T / psi
-        cov_w = _inverse(np.eye(rc) + ut_lam @ u, "w-posterior precision")
+        cov_w = _inverse(np.eye(rc) + ut_lam @ u, "w-posterior precision")[0]
         gain = cov_w @ ut_lam  # K, (rc, d)
-        cho = scipy.linalg.cho_factor(u @ u.T + np.diag(psi))
-        sw_v = scipy.linalg.cho_solve(cho, v)  # Sigma_w^-1 V
-        lam, q = scipy.linalg.eigh(v.T @ sw_v)
+        sw_inv, logdet = _inverse(u @ u.T + np.diag(psi), "within covariance")
+        sw_v = sw_inv @ v
+        lam, q = np.linalg.eigh(v.T @ sw_v)
         shrink = 1.0 / (1.0 + np.outer(counts, lam))  # (speakers, rs)
         b = sums @ sw_v
         h = ((b @ q) * shrink) @ q.T  # E[h] per speaker
@@ -235,9 +233,9 @@ def train_plda(embeddings: np.ndarray, labels, cfg: BackendConfig = BackendConfi
         # its log-determinant is n_s log|Sigma_w| + sum log(1 + n_s lambda)
         trace[it] = -0.5 * (
             const
-            + 2.0 * n * float(np.sum(np.log(np.diag(cho[0]))))
+            + n * logdet
             - float(np.sum(np.log(shrink)))
-            + float(np.trace(scipy.linalg.cho_solve(cho, scatter)))
+            + float(np.vdot(sw_inv, scatter))  # tr(Sigma_w^-1 scatter), both symmetric
             - float(np.sum(b * h))
         )
 
@@ -252,7 +250,7 @@ def train_plda(embeddings: np.ndarray, labels, cfg: BackendConfig = BackendConfi
         r_zz = np.block([[r_hh, r_hw], [r_hw.T, r_ww]])
         r_zx = np.vstack([r_hx, r_wx])
 
-        a = scipy.linalg.solve(r_zz, r_zx, assume_a="pos").T  # (d, rs + rc)
+        a = np.linalg.solve(r_zz, r_zx).T  # (d, rs + rc)
         psi = (np.diag(scatter) - np.einsum("dq,qd->d", a, r_zx)) / n
         psi = np.maximum(psi, 1e-10 * avg_var)
         v = a[:, :rs]
@@ -351,7 +349,8 @@ def save_backend(path, backend: Backend, cohort: np.ndarray) -> None:
 
 
 def load_backend(path) -> tuple[Backend, np.ndarray]:
-    """Read a backend file; a missing, misshapen or non-finite tensor is an error."""
+    """Read a backend file; a missing, misshapen or non-finite tensor, or a PLDA
+    model that cannot be factored for scoring, is an error."""
     tensors = {k: v.astype(np.float64) for k, v in tensorio.read_tensors(path).items()}
     nonfinite = [name for name, value in tensors.items() if not np.all(np.isfinite(value))]
     if nonfinite:
@@ -367,6 +366,7 @@ def load_backend(path) -> tuple[Backend, np.ndarray]:
         lda, *params = (tensors[name] for name in PLDA_TENSORS)
         try:
             model = PldaModel(*params)
+            model.scorer  # factored here, so a model that cannot score is a bad file
         except ValueError as exc:
             raise ValueError(f"bad backend file: {exc}") from exc
         if lda.shape != (model.dim, len(mean)):

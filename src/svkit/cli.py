@@ -228,7 +228,8 @@ def cmd_train_plda(args) -> int:
         em_iters=cfg.em_iters,
         seed=args.seed,
     )
-    trained = backend_mod.train_backend(x, labels, bcfg)
+    with _naming(args.embeddings):  # a scatter that overflows or cannot be factored
+        trained = backend_mod.train_backend(x, labels, bcfg)
     with _naming(args.labels):  # a cosine speaker whose embeddings average to the mean
         cohort = scorenorm.build_cohort(x, labels, trained)
     backend_mod.save_backend(args.out, trained, cohort)

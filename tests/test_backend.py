@@ -194,6 +194,56 @@ def dense_joint_posterior_em(x, labels, rs, rc, iters, seed):
     return v, u, psi
 
 
+def scipy_factored_em(x, labels, cfg):
+    """``train_plda``'s EM with the ``scipy.linalg`` factorizations it used before it
+    ran on ``numpy.linalg``: one Cholesky of Sigma_w per iteration, solved against V and
+    the scatter, and a positive definite solve for the M-step. Returns
+    ``(V, U, psi, loglik trace)``."""
+    n, d = x.shape
+    rs, rc = cfg.rank_speaker, cfg.rank_channel
+    mu = x.mean(axis=0)
+    xc = x - mu
+    _, counts, sums = bk.speaker_sums(xc, labels)
+    scatter = xc.T @ xc
+    var = np.diag(scatter) / n
+    rng = np.random.default_rng(cfg.seed)
+    avg_var = float(np.mean(var)) or 1.0
+    v = rng.standard_normal((d, rs)) * np.sqrt(avg_var / rs)
+    u = rng.standard_normal((d, rc)) * np.sqrt(avg_var / rc)
+    psi = var + 1e-6 * avg_var
+    trace = np.zeros(cfg.em_iters)
+    for it in range(cfg.em_iters):
+        ut_lam = u.T / psi
+        cov_w = scipy.linalg.cho_solve(scipy.linalg.cho_factor(np.eye(rc) + ut_lam @ u),
+                                       np.eye(rc))
+        gain = cov_w @ ut_lam
+        cho = scipy.linalg.cho_factor(u @ u.T + np.diag(psi))
+        sw_v = scipy.linalg.cho_solve(cho, v)
+        lam, q = scipy.linalg.eigh(v.T @ sw_v)
+        shrink = 1.0 / (1.0 + np.outer(counts, lam))
+        b = sums @ sw_v
+        h = ((b @ q) * shrink) @ q.T
+        cov_h = (q * (counts @ shrink)) @ q.T
+        trace[it] = -0.5 * (n * d * np.log(2.0 * np.pi)
+                            + 2.0 * n * np.sum(np.log(np.diag(cho[0])))
+                            - np.sum(np.log(shrink))
+                            + np.trace(scipy.linalg.cho_solve(cho, scatter))
+                            - np.sum(b * h))
+        kv = gain @ v
+        r_hh = cov_h + (h.T * counts) @ h
+        r_hx = h.T @ sums
+        r_wx = gain @ scatter - kv @ r_hx
+        r_hw = r_hx @ gain.T - r_hh @ kv.T
+        r_ww = n * cov_w + r_wx @ gain.T - r_hw.T @ kv.T
+        r_zz = np.block([[r_hh, r_hw], [r_hw.T, r_ww]])
+        r_zx = np.vstack([r_hx, r_wx])
+        a = scipy.linalg.solve(r_zz, r_zx, assume_a="pos").T
+        psi = np.maximum((np.diag(scatter) - np.einsum("dq,qd->d", a, r_zx)) / n,
+                         1e-10 * avg_var)
+        v, u = a[:, :rs], a[:, rs:]
+    return v, u, psi, trace
+
+
 class TestPldaTraining:
     def test_loglik_monotone_and_subspace_recovery(self):
         for seed in range(5):
@@ -262,6 +312,20 @@ class TestPldaTraining:
         np.testing.assert_allclose(est.V, v, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(est.U, u, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(est.psi, psi, rtol=1e-10)
+
+    @pytest.mark.parametrize("d, rank, speakers", [(64, 32, 120), (128, 100, 200)])
+    def test_matches_scipy_factored_em(self, d, rank, speakers):
+        spec = sd.SynthSpec(seed=d, dim=d, num_speakers=speakers, utts_per_speaker=12,
+                            rank_speaker=rank // 2, rank_channel=rank // 2,
+                            speaker_scale=1.4, noise_scale=1.0)
+        x, labels, _ = sd.gen_plda_data(spec)
+        keep = np.arange(len(x)) % 12 < 2 + np.arange(len(x)) // 12 % 11  # 2-12 sessions
+        x, labels = x[keep], np.asarray(labels)[keep]
+        cfg = bk.BackendConfig(rank_speaker=rank, rank_channel=rank, em_iters=6, seed=4)
+        est = bk.train_plda(x, labels, cfg)
+        for got, ref in zip((est.V, est.U, est.psi, est.loglik_trace),
+                            scipy_factored_em(x, labels, cfg)):
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_memory_independent_of_sessions_per_speaker(self):
         rng = np.random.default_rng(0)

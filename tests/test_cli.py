@@ -690,6 +690,23 @@ class TestSvw1Inputs:
         assert not out.exists()
 
 
+def test_train_plda_names_a_scatter_that_overflows(tmp_path, capsys, monkeypatch):
+    """Embeddings of 1e160, beyond float32 and so handed over by a reader that keeps
+    float64, overflow the within-class scatter: one error line that names the
+    embeddings, no RuntimeWarning (an error under this suite's settings) and no output."""
+    from svkit import tensorio
+
+    rng = np.random.default_rng(0)
+    emb = {f"u{i}": rng.standard_normal(6) * 1e160 for i in range(12)}
+    monkeypatch.setattr(tensorio, "read_tensors", lambda path: emb)
+    labels, out = tmp_path / "labels.txt", tmp_path / "backend.svw"
+    labels.write_text("".join(f"u{i} s{i % 3}\n" for i in range(12)))
+    assert cli.main(["train_plda", "--embeddings", "emb.svw", "--labels", str(labels),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: non-finite within-class scatter: emb.svw\n"
+    assert not out.exists()
+
+
 def write_fault_inputs(directory) -> None:
     """Valid inputs of ``calibrate``, ``fuse``, ``eval``, ``snorm``, ``train_plda`` and
     ``embed`` in ``directory``, and the faulty files of ``FAULTS``."""
@@ -714,6 +731,9 @@ def write_fault_inputs(directory) -> None:
     cosine = backend.Backend("cosine", np.zeros(4))
     backend.save_backend(directory / "one_cohort.svw", cosine, np.ones((1, 4)))
     backend.save_backend(directory / "zero_cohort.svw", cosine, np.eye(4) * [1, 1, 0, 1])
+    no_noise = backend.PldaModel(np.zeros(4), np.ones((4, 1)), np.ones((4, 1)), [1, 1, 0, 1])
+    backend.save_backend(directory / "zero_psi.svw",
+                         backend.Backend("plda", np.zeros(4), np.eye(4), no_noise), np.eye(4))
     rng = np.random.default_rng(5)
     tensorio.write_tensors(directory / "emb.svw", {u: rng.standard_normal(4) for u in "abcd"})
     # a and -a for s0, 0 and b for s1, -b for s2: the training mean is 0
@@ -721,6 +741,7 @@ def write_fault_inputs(directory) -> None:
     tensorio.write_tensors(directory / "cancel.svw",
                            {"u0": a, "u1": -a, "u2": np.zeros(4), "u3": b, "u4": -b})
     (directory / "cancel_labels.txt").write_text("u0 s0\nu1 s0\nu2 s1\nu3 s1\nu4 s2\n")
+    (directory / "solo_labels.txt").write_text("a s0\nb s1\nc s2\nd s3\n")
     (directory / "feats").mkdir()
     tensorio.write_feature_matrix(directory / "feats" / "u0.feat", np.zeros((20, 40)))
     # the classifier is all embed reads of a weight file before it builds the spec
@@ -774,6 +795,15 @@ FAULTS = {
     "train_plda-cosine-cancelling-speaker": (TRAIN_ON + ["--backend", "cosine"],
                                              ["cancel_labels.txt"],
                                              "speaker s0: degenerate norm: zero vector"),
+    # one session per speaker: no within-class scatter to whiten with
+    "train_plda-plda-one-session-each": (["train_plda", "--embeddings", "emb.svw", "--labels",
+                                          "solo_labels.txt"], ["emb.svw"],
+                                         "within-class scatter not positive definite"),
+    **{f"{argv[0]}-plda-zero-psi": (argv, ["zero_psi.svw"],
+                                    "bad backend file: within covariance not positive definite")
+       for argv in (["score", "--backend-file", "zero_psi.svw", "--embeddings", "emb.svw",
+                     "--trials", "trials.txt"],
+                    ["snorm", "--backend-file", "zero_psi.svw"] + SNORM_TRIALS)},
     "embed-one-class-weights": (EMBED_ON + ["tdnn-standard", "--weights", "one_class.svw"],
                                 ["one_class.svw"], "num_classes must be >= 2"),
     "embed-bad-embedding-dim": (EMBED_ON + ["resnet34", "--config", "dim128.cfg"],
