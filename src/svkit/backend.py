@@ -17,7 +17,13 @@ per-speaker sums and a d x d scatter matrix, so an iteration costs O(d^3)
 plus GEMMs over the speakers, independent of the sessions per speaker.
 
 Preprocessing order is fixed: center, LDA, length-normalize for the PLDA
-path; centering only for the cosine path.
+path; centering only for the cosine path. ``train_backend`` preprocesses
+the training set once and hands those rows back, so the cohort is built
+from the rows PLDA was trained on. Per-speaker sums add each speaker's
+rows in row order (``speaker_sums``), the order of a row-by-row scatter-add
+(the ``at`` method of ``np.add``), so the sums, and the float32 backend file
+written from them, keep its bits; a segmented pairwise reduction (the
+``reduceat`` method) does not.
 
 Every factorization is ``numpy.linalg``, which does not check its input
 for NaNs and infinities; ``_cholesky`` does, and names the matrix.
@@ -119,19 +125,25 @@ def _inverse(mat: np.ndarray, what: str) -> tuple[np.ndarray, float]:
 
 
 def estimate_center(embeddings: np.ndarray) -> np.ndarray:
-    """Training-data mean used for centering."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
+    """Training-data mean used for centering, accumulated in float64 without a
+    float64 copy of the embeddings."""
+    embeddings = np.asarray(embeddings)
     if embeddings.ndim != 2 or embeddings.shape[0] == 0:
         raise ValueError("need at least one embedding")
-    return embeddings.mean(axis=0)
+    return embeddings.mean(axis=0, dtype=np.float64)
+
+
+def _normalize_rows(x: np.ndarray) -> np.ndarray:
+    """Divide a float64 array by its norms along the last axis, in place."""
+    norm = np.linalg.norm(x, axis=-1, keepdims=True)
+    if np.any(norm == 0.0):
+        raise ValueError("degenerate norm: zero vector")
+    x /= norm
+    return x
 
 
 def length_normalize(emb: np.ndarray) -> np.ndarray:
-    emb = np.asarray(emb, dtype=np.float64)
-    norm = np.linalg.norm(emb, axis=-1, keepdims=True)
-    if np.any(norm == 0.0):
-        raise ValueError("degenerate norm: zero vector")
-    return emb / norm
+    return _normalize_rows(np.array(emb, dtype=np.float64))
 
 
 def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
@@ -143,11 +155,27 @@ def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def speaker_sums(x: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's speaker index, rows per speaker and per-speaker sums of ``x``, in label order."""
+    """Each row's speaker index, rows per speaker and per-speaker sums of ``x``, in label order.
+
+    Every speaker's rows are added in row order, starting from zero: pass j adds
+    the j-th row of each speaker that has one. That is the order in which the
+    ``at`` method of ``np.add`` scatters rows one by one, so the sums keep its
+    bits, with one gathered block per pass instead of one scatter per row.
+    Summing the speaker-sorted rows with the ``reduceat`` method is not the same:
+    it moves sums by an ulp, and a backend file stored in float32 with them.
+    """
     _, spk, counts = np.unique(np.asarray(labels), return_inverse=True, return_counts=True)
-    sums = np.zeros((len(counts), x.shape[1]))
-    np.add.at(sums, spk, x)
-    return spk, counts, sums
+    if len(spk) != len(x):
+        raise ValueError(f"{len(spk)} labels for {len(x)} rows")
+    by_count = np.argsort(-counts, kind="stable")  # speakers with the most rows first
+    rows = np.argsort(spk, kind="stable")  # grouped by speaker, each speaker in row order
+    first = (np.cumsum(counts) - counts)[by_count]  # each speaker's first entry in rows
+    sizes = counts[by_count]
+    sums = np.zeros((len(counts), x.shape[1]))  # in ``by_count`` order
+    for j in range(counts.max(initial=0)):
+        k = np.count_nonzero(sizes > j)  # the speakers with a j-th row lead ``by_count``
+        sums[:k] += x[rows[first[:k] + j]]
+    return spk, counts, sums[np.argsort(by_count)]
 
 
 def train_lda(embeddings: np.ndarray, labels) -> np.ndarray:
@@ -166,7 +194,8 @@ def train_lda(embeddings: np.ndarray, labels) -> np.ndarray:
         raise ValueError("LDA needs at least two classes")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         means = sums / counts[:, None]
-        diff = x - means[cls]
+        diff = means[cls]
+        np.subtract(x, diff, out=diff)  # x - means[cls], in the gathered buffer
         gap = means - x.mean(axis=0)
         s_w = diff.T @ diff / n
         s_b = (gap.T * counts) @ gap / n
@@ -279,15 +308,20 @@ class Backend:
     plda: PldaModel | None = None
 
 
-def train_backend(embeddings: np.ndarray, labels, cfg: BackendConfig = BackendConfig()) -> Backend:
+def train_backend(embeddings: np.ndarray, labels,
+                  cfg: BackendConfig = BackendConfig()) -> tuple[Backend, np.ndarray]:
     """Center estimation plus, for PLDA, LDA and EM training on the embeddings
-    as ``preprocess`` prepares them for scoring."""
+    as ``preprocess`` prepares them for scoring. Returns the backend and those
+    preprocessed rows, which ``scorenorm.build_cohort`` averages per speaker."""
     mean = estimate_center(embeddings)
     if cfg.kind == "cosine":
-        return Backend("cosine", mean)
-    lda = train_lda(embeddings - mean, labels)
-    prep = Backend("plda", mean, lda)
-    return Backend("plda", mean, lda, train_plda(preprocess(prep, embeddings), labels, cfg))
+        backend = Backend("cosine", mean)
+        return backend, preprocess(backend, embeddings)
+    # speaker indices in label order: LDA and EM then sort integers, not the label strings
+    speakers = np.unique(np.asarray(labels), return_inverse=True)[1]
+    lda = train_lda(np.subtract(embeddings, mean, dtype=np.float64), speakers)
+    rows = preprocess(Backend("plda", mean, lda), embeddings)
+    return Backend("plda", mean, lda, train_plda(rows, speakers, cfg)), rows
 
 
 def preprocess(backend: Backend, embeddings: np.ndarray) -> np.ndarray:
@@ -296,7 +330,7 @@ def preprocess(backend: Backend, embeddings: np.ndarray) -> np.ndarray:
     if backend.kind == "cosine":
         return x
     x = x @ backend.lda.T  # the centered rows are freed before normalizing: fewer fresh pages
-    return length_normalize(x)
+    return _normalize_rows(x)
 
 
 def score_pair(backend: Backend, a: np.ndarray, b: np.ndarray) -> float:

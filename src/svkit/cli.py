@@ -188,6 +188,26 @@ def cmd_embed(args) -> int:
     return 0
 
 
+def _stack_vectors(embeddings: dict[str, np.ndarray], utts: list[str], path) -> np.ndarray:
+    """The embeddings of ``utts`` as the rows of one matrix. Only when they do not
+    stack into one are they walked, to name the first that is not a vector or not
+    of the first one's shape."""
+    try:
+        x = np.stack([embeddings[u] for u in utts])
+        if x.ndim == 2:
+            return x
+    except ValueError:
+        pass
+    shapes = [embeddings[u].shape for u in utts]
+    for utt, shape in zip(utts, shapes):
+        if len(shape) != 1:
+            raise ValueError(f"utterance {utt} has an embedding of shape {shape}, not a vector: "
+                             f"{path}")
+    utt, shape = next((u, shape) for u, shape in zip(utts, shapes) if shape != shapes[0])
+    raise ValueError(f"utterance {utt} has an embedding of shape {shape}, not {shapes[0]} like "
+                     f"{utts[0]}: {path}")
+
+
 def cmd_train_plda(args) -> int:
     cfg = _load_pipeline_config(args)
     embeddings = _load_named(tensorio.read_tensors, args.embeddings)
@@ -198,16 +218,10 @@ def cmd_train_plda(args) -> int:
     missing = [u for u in utts if u not in labels_by_utt]
     if missing:
         raise ValueError(f"no label for utterance {missing[0]}: {args.labels}")
-    shapes = [embeddings[u].shape for u in utts]
-    for utt, shape in zip(utts, shapes):
-        if len(shape) != 1:
-            raise ValueError(f"utterance {utt} has an embedding of shape {shape}, not a vector: "
-                             f"{args.embeddings}")
-    odd = [(u, shape) for u, shape in zip(utts, shapes) if shape != shapes[0]]
-    if odd:
-        raise ValueError(f"utterance {odd[0][0]} has an embedding of shape {odd[0][1]}, not "
-                         f"{shapes[0]} like {utts[0]}: {args.embeddings}")
-    x = np.stack([embeddings[u] for u in utts])
+    x = _stack_vectors(embeddings, utts, args.embeddings)
+    del embeddings  # held once, as the rows of x
+    if x.shape[1] == 0:
+        raise ValueError(f"embeddings of dimension 0: {args.embeddings}")
     finite = np.all(np.isfinite(x), axis=1)
     if not finite.all():
         raise ValueError(f"utterance {utts[np.argmin(finite)]} has a non-finite embedding: "
@@ -229,9 +243,10 @@ def cmd_train_plda(args) -> int:
         seed=args.seed,
     )
     with _naming(args.embeddings):  # a scatter that overflows or cannot be factored
-        trained = backend_mod.train_backend(x, labels, bcfg)
+        trained, rows = backend_mod.train_backend(x, labels, bcfg)
+    del x
     with _naming(args.labels):  # a cosine speaker whose embeddings average to the mean
-        cohort = scorenorm.build_cohort(x, labels, trained)
+        cohort = scorenorm.build_cohort(rows, labels, trained)
     backend_mod.save_backend(args.out, trained, cohort)
     print(f"trained {args.backend} backend on {len(utts)} embeddings", file=sys.stderr)
     return 0

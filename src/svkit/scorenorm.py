@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import (Backend, length_normalize, preprocess, preprocess_by_id, score_pair,
-                      speaker_sums)
+from .backend import Backend, length_normalize, preprocess_by_id, score_pair, speaker_sums
 from .trials import ScoreSet
 
 SIGMA_FLOOR = 1e-12
@@ -28,16 +27,17 @@ class SnormConfig:
             raise ValueError("top_x must be >= 2")
 
 
-def build_cohort(embeddings: np.ndarray, labels, backend: Backend) -> np.ndarray:
-    """Per-speaker means of preprocessed embeddings, one row per speaker.
+def build_cohort(prepped: np.ndarray, labels, backend: Backend) -> np.ndarray:
+    """Per-speaker means of embeddings preprocessed by ``backend`` (the rows
+    ``train_backend`` hands back), one row per speaker.
 
     Cosine cohorts are re-length-normalized after averaging, so a speaker
     whose utterances cancel out raises a degenerate-norm error naming it.
     """
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    if embeddings.ndim != 2 or embeddings.shape[0] == 0:
+    prepped = np.asarray(prepped, dtype=np.float64)
+    if prepped.ndim != 2 or prepped.shape[0] == 0:
         raise ValueError("need at least one embedding")
-    spk, counts, sums = speaker_sums(preprocess(backend, embeddings), labels)
+    spk, counts, sums = speaker_sums(prepped, labels)
     cohort = sums / counts[:, None]
     if backend.kind == "cosine":
         zero = np.flatnonzero(~cohort.any(axis=1))

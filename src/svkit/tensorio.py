@@ -13,6 +13,11 @@ import numpy as np
 FEATURE_MAGIC = b"SVF1"
 WEIGHT_MAGIC = b"SVW1"
 
+# record fields of SVW1, compiled once: a file of embeddings is one record per utterance
+_U32, _U16, _U8 = struct.Struct("<I"), struct.Struct("<H"), struct.Struct("<B")
+_DIMS = tuple(struct.Struct(f"<{rank}I") for rank in range(0x100))
+_F4 = np.dtype("<f4")
+
 
 def write_feature_matrix(path, matrix: np.ndarray) -> None:
     m = np.ascontiguousarray(matrix, dtype="<f4")
@@ -60,12 +65,12 @@ def read_tensors(path) -> dict[str, np.ndarray]:
         data = f.read()
     if data[:4] != WEIGHT_MAGIC or len(data) < 8:
         raise ValueError("bad weight file: wrong magic or truncated header")
-    (count,) = struct.unpack_from("<I", data, 4)
+    (count,) = _U32.unpack_from(data, 4)
     offset = 8
     out: dict[str, np.ndarray] = {}
     try:
         for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", data, offset)
+            (name_len,) = _U16.unpack_from(data, offset)
             offset += 2
             if len(data) < offset + name_len:
                 raise struct.error("short read")
@@ -73,15 +78,15 @@ def read_tensors(path) -> dict[str, np.ndarray]:
             offset += name_len
             if name in out:
                 raise ValueError(f"bad weight file: duplicate tensor {name!r}")
-            (rank,) = struct.unpack_from("<B", data, offset)
+            (rank,) = _U8.unpack_from(data, offset)
             offset += 1
-            dims = struct.unpack_from(f"<{rank}I", data, offset) if rank else ()
+            dims = _DIMS[rank].unpack_from(data, offset)
             offset += 4 * rank
             size = math.prod(dims)
             end = offset + 4 * size
             if end > len(data):
                 raise struct.error("short read")
-            out[name] = np.frombuffer(data, "<f4", size, offset).reshape(dims).copy()
+            out[name] = np.ndarray(dims, _F4, data, offset).copy()
             offset = end
     except struct.error as exc:
         raise ValueError("bad weight file: truncated record") from exc

@@ -195,10 +195,10 @@ def test_c07_backend_discrimination():
         by_id = {u: x[i] for i, u in enumerate(sd.utt_ids(len(x)))}
 
         eer_oracle = mt.compute_eer(sd.oracle_scores(model, x, trials), trials)
-        plda = bk.train_backend(x, labels, bk.BackendConfig(
+        plda, _ = bk.train_backend(x, labels, bk.BackendConfig(
             kind="plda", rank_speaker=4, rank_channel=8, em_iters=25, seed=0))
         eer_plda = mt.compute_eer(bk.score_trials(plda, by_id, trials), trials)
-        cosine = bk.train_backend(x, labels, bk.BackendConfig(kind="cosine"))
+        cosine, _ = bk.train_backend(x, labels, bk.BackendConfig(kind="cosine"))
         eer_cos = mt.compute_eer(bk.score_trials(cosine, by_id, trials), trials)
 
         assert eer_plda <= eer_cos

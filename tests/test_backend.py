@@ -56,6 +56,65 @@ class TestCenter:
         with pytest.raises(ValueError):
             bk.estimate_center(np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("n, d", [(1, 3), (500, 1), (9000, 2), (3161, 64)])
+    def test_float32_mean_is_that_of_a_float64_copy(self, n, d):
+        x = (np.random.default_rng(n).standard_normal((n, d)) * 30.0).astype(np.float32)
+        assert np.array_equal(bk.estimate_center(x), x.astype(np.float64).mean(axis=0))
+
+
+def add_at_sums(x, labels):
+    """Per-speaker sums by ``np.add.at``, which adds each row in row order: the
+    reference whose bits ``speaker_sums`` keeps."""
+    _, spk, counts = np.unique(np.asarray(labels), return_inverse=True, return_counts=True)
+    sums = np.zeros((len(counts), x.shape[1]))
+    np.add.at(sums, spk, x)
+    return spk, counts, sums
+
+
+class TestSpeakerSums:
+    def assert_same_bits(self, x, labels):
+        got, ref = bk.speaker_sums(x, labels), add_at_sums(x, labels)
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        assert np.array_equal(np.signbit(got[2]), np.signbit(ref[2]))
+
+    def test_bits_of_add_at_on_random_sets(self):
+        rng = np.random.default_rng(2024)
+        for case in range(120):
+            n, d = int(rng.integers(1, 400)), int(rng.integers(1, 17))
+            speakers = int(rng.integers(1, n + 1))
+            codes = rng.integers(0, speakers, n)  # unsorted, with one-row speakers
+            # magnitudes over 12 decades, so that the order of the additions shows
+            x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-6, 7, (n, 1))
+            x[rng.random((n, d)) < 0.1] = -0.0
+            if case % 3 == 2:
+                x = x.astype(np.float32)
+            labels = [f"spk{c}" for c in codes] if case % 2 else 1000 - 7 * codes
+            self.assert_same_bits(x, labels)
+
+    def test_negative_zeros_and_one_row_speakers(self):
+        x = np.array([[-0.0, 1.0], [-0.0, -0.0], [-0.0, 2.0], [3.0, -0.0], [-0.0, -0.0]])
+        labels = ["b", "a", "b", "c", "c"]
+        self.assert_same_bits(x, labels)
+        _, counts, sums = bk.speaker_sums(x, labels)
+        assert counts.tolist() == [1, 2, 2]
+        assert not np.signbit(sums).any()  # 0.0 + -0.0 is 0.0
+
+    def test_one_label_per_row(self):
+        with pytest.raises(ValueError, match="2 labels for 3 rows"):
+            bk.speaker_sums(np.zeros((3, 2)), ["a", "b"])
+
+
+@pytest.mark.parametrize("kind", ["plda", "cosine"])
+def test_train_backend_returns_the_rows_preprocess_makes(kind):
+    spec = sd.SynthSpec(seed=3, dim=8, num_speakers=12, utts_per_speaker=5,
+                        rank_speaker=2, rank_channel=2)
+    x, labels, _ = sd.gen_plda_data(spec)
+    x = x.astype(np.float32)
+    backend, rows = bk.train_backend(x, labels, bk.BackendConfig(
+        kind=kind, rank_speaker=2, rank_channel=2, em_iters=2))
+    assert np.array_equal(rows, bk.preprocess(backend, x))
+
 
 class TestLda:
     def test_fisher_direction_on_axis_separated_classes(self):
@@ -546,7 +605,7 @@ class TestScoreTrials:
         spec = sd.SynthSpec(seed=5, dim=8, num_speakers=10, utts_per_speaker=4,
                             rank_speaker=2, rank_channel=2)
         x, labels, _ = sd.gen_plda_data(spec)
-        backend = bk.train_backend(x, labels, bk.BackendConfig(
+        backend, _ = bk.train_backend(x, labels, bk.BackendConfig(
             kind="plda", rank_speaker=2, rank_channel=2, em_iters=5))
         by_id = {u: x[i] for i, u in enumerate(sd.utt_ids(len(x)))}
         return backend, by_id
@@ -622,11 +681,11 @@ class TestBackendDiscrimination:
         oracle = sd.oracle_scores(model, x, trials)
         eer_oracle = mt.eer_from_tar_non(oracle.scores[trials.labels],
                                          oracle.scores[~trials.labels])
-        plda = bk.train_backend(x, labels, bk.BackendConfig(
+        plda, _ = bk.train_backend(x, labels, bk.BackendConfig(
             kind="plda", rank_speaker=4, rank_channel=8, em_iters=25, seed=0))
         s = bk.score_trials(plda, by_id, trials)
         eer_plda = mt.eer_from_tar_non(s.scores[trials.labels], s.scores[~trials.labels])
-        cos = bk.train_backend(x, labels, bk.BackendConfig(kind="cosine"))
+        cos, _ = bk.train_backend(x, labels, bk.BackendConfig(kind="cosine"))
         s = bk.score_trials(cos, by_id, trials)
         eer_cos = mt.eer_from_tar_non(s.scores[trials.labels], s.scores[~trials.labels])
 
@@ -640,7 +699,7 @@ class TestBackendFile:
         spec = sd.SynthSpec(seed=8, dim=6, num_speakers=8, utts_per_speaker=4,
                             rank_speaker=2, rank_channel=2)
         x, labels, _ = sd.gen_plda_data(spec)
-        backend = bk.train_backend(x, labels, bk.BackendConfig(
+        backend, _ = bk.train_backend(x, labels, bk.BackendConfig(
             kind="plda", rank_speaker=2, rank_channel=2, em_iters=3))
         cohort = np.random.default_rng(0).standard_normal((8, 6))
         bk.save_backend(tmp_path / "b.svw", backend, cohort)

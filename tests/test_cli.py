@@ -707,6 +707,38 @@ def test_train_plda_names_a_scatter_that_overflows(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+# tracemalloc peak of one in-process ``svkit train_plda`` on 3000 x 64 float32
+# embeddings (100 speakers x 30), as a multiple of the float64 training matrix:
+# 3.33 (plda) and 2.06 (cosine) with one preprocess of the training set, its rows
+# handed to the cohort and the tensor dict dropped once stacked; 5.06 and 3.92
+# with a second preprocess for the cohort and float64 copies taken for its means
+@pytest.mark.parametrize("kind, bound", [("plda", 4.0), ("cosine", 3.0)])
+def test_train_plda_holds_its_training_set_a_bounded_number_of_times(tmp_path, kind, bound):
+    import tracemalloc
+
+    from svkit import tensorio
+
+    speakers, sessions, dim = 100, 30, 64
+    n = speakers * sessions
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((speakers, dim))[np.arange(n) % speakers] * 2.0
+    x = (x + rng.standard_normal((n, dim))).astype(np.float32)
+    tensorio.write_tensors(tmp_path / "emb.svw", {f"u{i:05d}": row for i, row in enumerate(x)})
+    (tmp_path / "labels.txt").write_text("".join(f"u{i:05d} s{i % speakers}\n" for i in range(n)))
+    (tmp_path / "plda.cfg").write_text("plda_rank_speaker = 16\nplda_rank_channel = 16\n"
+                                       "em_iters = 2\n")
+    tracemalloc.start()
+    try:
+        assert cli.main(["train_plda", "--config", str(tmp_path / "plda.cfg"),
+                         "--embeddings", str(tmp_path / "emb.svw"),
+                         "--labels", str(tmp_path / "labels.txt"), "--backend", kind,
+                         "--out", str(tmp_path / "backend.svw")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * n * dim
+
+
 def write_fault_inputs(directory) -> None:
     """Valid inputs of ``calibrate``, ``fuse``, ``eval``, ``snorm``, ``train_plda`` and
     ``embed`` in ``directory``, and the faulty files of ``FAULTS``."""
@@ -742,6 +774,7 @@ def write_fault_inputs(directory) -> None:
                            {"u0": a, "u1": -a, "u2": np.zeros(4), "u3": b, "u4": -b})
     (directory / "cancel_labels.txt").write_text("u0 s0\nu1 s0\nu2 s1\nu3 s1\nu4 s2\n")
     (directory / "solo_labels.txt").write_text("a s0\nb s1\nc s2\nd s3\n")
+    tensorio.write_tensors(directory / "empty_vectors.svw", {u: np.zeros(0) for u in "abcd"})
     (directory / "feats").mkdir()
     tensorio.write_feature_matrix(directory / "feats" / "u0.feat", np.zeros((20, 40)))
     # the classifier is all embed reads of a weight file before it builds the spec
@@ -799,6 +832,11 @@ FAULTS = {
     "train_plda-plda-one-session-each": (["train_plda", "--embeddings", "emb.svw", "--labels",
                                           "solo_labels.txt"], ["emb.svw"],
                                          "within-class scatter not positive definite"),
+    # vectors of shape (0,): no rank can be derived from them
+    **{f"train_plda-{kind}-dimension-0": (["train_plda", "--embeddings", "empty_vectors.svw",
+                                           "--labels", "solo_labels.txt", "--backend", kind],
+                                          ["empty_vectors.svw"], "embeddings of dimension 0")
+       for kind in ("cosine", "plda")},
     **{f"{argv[0]}-plda-zero-psi": (argv, ["zero_psi.svw"],
                                     "bad backend file: within covariance not positive definite")
        for argv in (["score", "--backend-file", "zero_psi.svw", "--embeddings", "emb.svw",

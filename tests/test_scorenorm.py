@@ -127,9 +127,9 @@ class TestBuildCohort:
         spec = sd.SynthSpec(seed=4, dim=6, num_speakers=10, utts_per_speaker=5,
                             rank_speaker=2, rank_channel=2)
         x, labels, _ = sd.gen_plda_data(spec)
-        backend = bk.train_backend(x, labels, bk.BackendConfig(
+        backend, rows = bk.train_backend(x, labels, bk.BackendConfig(
             kind="plda", rank_speaker=2, rank_channel=2, em_iters=3))
-        cohort = sn.build_cohort(x, labels, backend)
+        cohort = sn.build_cohort(rows, labels, backend)
         prepped = bk.preprocess(backend, x)
         labels = np.asarray(labels)
         for row, spk in zip(cohort, np.unique(labels)):
@@ -144,13 +144,13 @@ class TestBuildCohort:
         x, labels, _ = sd.gen_plda_data(spec)
         keep = rng.permutation(len(x))[: len(x) * 2 // 3]  # uneven, interleaved sessions
         x, labels = x[keep], np.asarray(labels)[keep]
-        backend = bk.train_backend(x, labels, bk.BackendConfig(
+        backend, rows = bk.train_backend(x, labels, bk.BackendConfig(
             kind=kind, rank_speaker=2, rank_channel=2, em_iters=3))
         prepped = bk.preprocess(backend, x)
         ref = np.vstack([prepped[labels == c].mean(axis=0) for c in np.unique(labels)])
         if kind == "cosine":
             ref = bk.length_normalize(ref)
-        cohort = sn.build_cohort(x, labels, backend)
+        cohort = sn.build_cohort(rows, labels, backend)
         np.testing.assert_allclose(cohort, ref, rtol=1e-12, atol=0)
 
     def test_empty_rejected(self):
@@ -164,8 +164,8 @@ class TestSnormScores:
         spec = sd.SynthSpec(seed=9, dim=8, num_speakers=12, utts_per_speaker=4,
                             rank_speaker=2, rank_channel=2)
         x, labels, _ = sd.gen_plda_data(spec)
-        backend = bk.train_backend(x, labels, bk.BackendConfig(kind="cosine"))
-        cohort = sn.build_cohort(x, labels, backend)
+        backend, rows = bk.train_backend(x, labels, bk.BackendConfig(kind="cosine"))
+        cohort = sn.build_cohort(rows, labels, backend)
         by_id = {u: x[i] for i, u in enumerate(sd.utt_ids(len(x)))}
         trials = sd.gen_trials(labels, 30, 30, seed=2)
         return backend, cohort, by_id, trials

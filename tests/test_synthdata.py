@@ -56,7 +56,7 @@ class TestGenPldaData:
         x, labels, model = sd.gen_plda_data(spec)
         trials = sd.gen_trials(labels, 2000, 2000, seed=12)
         oracle_eer = mt.compute_eer(sd.oracle_scores(model, x, trials), trials)
-        trained = bk.train_backend(x, labels, bk.BackendConfig(
+        trained, _ = bk.train_backend(x, labels, bk.BackendConfig(
             kind="plda", rank_speaker=3, rank_channel=3, em_iters=15, seed=0))
         by_id = {u: x[i] for i, u in enumerate(sd.utt_ids(len(x)))}
         trained_eer = mt.compute_eer(bk.score_trials(trained, by_id, trials), trials)
