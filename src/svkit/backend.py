@@ -308,12 +308,15 @@ class Backend:
     plda: PldaModel | None = None
 
 
-def train_backend(embeddings: np.ndarray, labels,
-                  cfg: BackendConfig = BackendConfig()) -> tuple[Backend, np.ndarray]:
+def train_backend(embeddings: np.ndarray, labels, cfg: BackendConfig = BackendConfig(),
+                  mean: np.ndarray | None = None) -> tuple[Backend, np.ndarray]:
     """Center estimation plus, for PLDA, LDA and EM training on the embeddings
     as ``preprocess`` prepares them for scoring. Returns the backend and those
-    preprocessed rows, which ``scorenorm.build_cohort`` averages per speaker."""
-    mean = estimate_center(embeddings)
+    preprocessed rows, which ``scorenorm.build_cohort`` averages per speaker.
+    A caller that has taken ``estimate_center`` of the embeddings passes it as
+    ``mean``."""
+    if mean is None:
+        mean = estimate_center(embeddings)
     if cfg.kind == "cosine":
         backend = Backend("cosine", mean)
         return backend, preprocess(backend, embeddings)

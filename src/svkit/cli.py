@@ -188,49 +188,28 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _stack_vectors(embeddings: dict[str, np.ndarray], utts: list[str], path) -> np.ndarray:
-    """The embeddings of ``utts`` as the rows of one matrix. Only when they do not
-    stack into one are they walked, to name the first that is not a vector or not
-    of the first one's shape."""
-    try:
-        x = np.stack([embeddings[u] for u in utts])
-        if x.ndim == 2:
-            return x
-    except ValueError:
-        pass
-    shapes = [embeddings[u].shape for u in utts]
-    for utt, shape in zip(utts, shapes):
-        if len(shape) != 1:
-            raise ValueError(f"utterance {utt} has an embedding of shape {shape}, not a vector: "
-                             f"{path}")
-    utt, shape = next((u, shape) for u, shape in zip(utts, shapes) if shape != shapes[0])
-    raise ValueError(f"utterance {utt} has an embedding of shape {shape}, not {shapes[0]} like "
-                     f"{utts[0]}: {path}")
-
-
 def cmd_train_plda(args) -> int:
     cfg = _load_pipeline_config(args)
-    embeddings = _load_named(tensorio.read_tensors, args.embeddings)
+    utts, x = _load_named(tensorio.read_embeddings, args.embeddings)  # rows in id order
     labels_by_utt = _load_named(_read_labels, args.labels)
-    utts = sorted(embeddings)
     if not utts:
         raise ValueError(f"no embeddings: {args.embeddings}")
     missing = [u for u in utts if u not in labels_by_utt]
     if missing:
         raise ValueError(f"no label for utterance {missing[0]}: {args.labels}")
-    x = _stack_vectors(embeddings, utts, args.embeddings)
-    del embeddings  # held once, as the rows of x
     if x.shape[1] == 0:
         raise ValueError(f"embeddings of dimension 0: {args.embeddings}")
     finite = np.all(np.isfinite(x), axis=1)
     if not finite.all():
         raise ValueError(f"utterance {utts[np.argmin(finite)]} has a non-finite embedding: "
                          f"{args.embeddings}")
-    labels = [labels_by_utt[u] for u in utts]
-    if len(set(labels)) < 2:  # S-norm scores against at least two cohort speakers
-        raise ValueError(f"need at least two speakers, got {len(set(labels))}: {args.labels}")
+    # each row's speaker as an index into the sorted speaker names, coded once here
+    names, speakers = np.unique([labels_by_utt[u] for u in utts], return_inverse=True)
+    if len(names) < 2:  # S-norm scores against at least two cohort speakers
+        raise ValueError(f"need at least two speakers, got {len(names)}: {args.labels}")
+    mean = backend_mod.estimate_center(x)
     if args.backend == "plda":  # centered, an embedding at the mean has a zero length norm
-        at_mean = np.all(x == backend_mod.estimate_center(x), axis=1)
+        at_mean = np.all(x == mean, axis=1)
         if at_mean.any():
             raise ValueError(f"utterance {utts[np.argmax(at_mean)]}: degenerate norm: "
                              f"zero vector: {args.embeddings}")
@@ -243,10 +222,10 @@ def cmd_train_plda(args) -> int:
         seed=args.seed,
     )
     with _naming(args.embeddings):  # a scatter that overflows or cannot be factored
-        trained, rows = backend_mod.train_backend(x, labels, bcfg)
+        trained, rows = backend_mod.train_backend(x, speakers, bcfg, mean)
     del x
     with _naming(args.labels):  # a cosine speaker whose embeddings average to the mean
-        cohort = scorenorm.build_cohort(rows, labels, trained)
+        cohort = scorenorm.build_cohort(rows, speakers, trained, names)
     backend_mod.save_backend(args.out, trained, cohort)
     print(f"trained {args.backend} backend on {len(utts)} embeddings", file=sys.stderr)
     return 0

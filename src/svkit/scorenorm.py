@@ -27,9 +27,11 @@ class SnormConfig:
             raise ValueError("top_x must be >= 2")
 
 
-def build_cohort(prepped: np.ndarray, labels, backend: Backend) -> np.ndarray:
+def build_cohort(prepped: np.ndarray, labels, backend: Backend,
+                 names: np.ndarray | None = None) -> np.ndarray:
     """Per-speaker means of embeddings preprocessed by ``backend`` (the rows
-    ``train_backend`` hands back), one row per speaker.
+    ``train_backend`` hands back), one row per speaker in label order. With
+    ``names``, each label is the index of its speaker's name in ``names``.
 
     Cosine cohorts are re-length-normalized after averaging, so a speaker
     whose utterances cancel out raises a degenerate-norm error naming it.
@@ -43,6 +45,8 @@ def build_cohort(prepped: np.ndarray, labels, backend: Backend) -> np.ndarray:
         zero = np.flatnonzero(~cohort.any(axis=1))
         if len(zero):
             speaker = np.asarray(labels)[spk == zero[0]][0]
+            if names is not None:
+                speaker = names[speaker]
             raise ValueError(f"speaker {speaker}: degenerate norm: zero vector")
         cohort = length_normalize(cohort)
     return cohort

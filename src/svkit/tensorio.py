@@ -3,6 +3,15 @@
 SVF1: magic, u32 rows, u32 cols, row-major little-endian float32.
 SVW1: magic, u32 tensor count, then per tensor u16 name length, name bytes,
 u8 rank, rank x u32 dims, row-major little-endian float32 data.
+
+An embedding store is an SVW1 store of vectors of one length, one per
+utterance, named by its utterance id: what ``svkit embed`` writes.
+``read_embeddings`` reads one straight into the rows of one matrix. Its
+records differ only in their ids, so one Python step per record finds each
+id and where its vector starts, the rank and dims bytes of all records are
+compared at once, and one gather copies every vector, no per-utterance
+array made. Any other input is parsed record by record, as ``read_tensors``
+does, so that it is named with the same message.
 """
 
 import math
@@ -62,7 +71,10 @@ def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
 
 def read_tensors(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
-        data = f.read()
+        return _parse_tensors(f.read())
+
+
+def _parse_tensors(data: bytes) -> dict[str, np.ndarray]:
     if data[:4] != WEIGHT_MAGIC or len(data) < 8:
         raise ValueError("bad weight file: wrong magic or truncated header")
     (count,) = _U32.unpack_from(data, 4)
@@ -95,3 +107,68 @@ def read_tensors(path) -> dict[str, np.ndarray]:
     if offset != len(data):
         raise ValueError("bad weight file: trailing bytes")
     return out
+
+
+def read_embeddings(path) -> tuple[list[str], np.ndarray]:
+    """The ids of the embedding store at ``path``, sorted, and its vectors as
+    the rows of one float32 matrix in that order. A store that is not one is
+    a ValueError: a malformed file with ``read_tensors``'s message, and tensors
+    that are not vectors of one length naming the first such id in sorted order."""
+    with open(path, "rb") as f:
+        data = f.read()
+    records = _vector_records(data)
+    if records is None:
+        _reject_as_embeddings(_parse_tensors(data))
+    ids, heads, dim = records
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    # every byte offset of the file as the start of a 4 * dim byte row: one gather
+    # picks the vectors out in id order, whatever the spacing of the records
+    rows = np.ndarray((len(data) - 4 * dim + 1, 4 * dim), np.uint8, data, strides=(1, 1))
+    return [ids[i] for i in order], rows[heads[order] + 5].view(_F4)
+
+
+def _vector_records(data: bytes) -> tuple[list[str], np.ndarray, int] | None:
+    """The ids, record header offsets (of each rank byte) and vector length of an
+    SVW1 store of distinct UTF-8 ids and vectors of one length; None for any
+    other input. The walk assumes the first record's rank and dims for each
+    record, and then checks the rank and dims bytes of all records at once."""
+    if data[:4] != WEIGHT_MAGIC or len(data) < 8:
+        return None
+    (count,) = _U32.unpack_from(data, 4)
+    if count == 0:
+        return ([], np.empty(0, np.intp), 0) if len(data) == 8 else None
+    ids, heads, offset = [], [], 8
+    try:
+        (name_len,) = _U16.unpack_from(data, offset)
+        (dim,) = _U32.unpack_from(data, offset + 3 + name_len)
+        vector = 5 + 4 * dim  # rank byte, dims, data
+        for _ in range(count):
+            (name_len,) = _U16.unpack_from(data, offset)
+            offset += 2 + name_len
+            ids.append(data[offset - name_len : offset].decode("utf-8"))
+            heads.append(offset)
+            offset += vector
+    except (struct.error, UnicodeDecodeError):
+        return None
+    if offset != len(data):  # truncated, or trailing bytes
+        return None
+    heads = np.array(heads)
+    buf = np.frombuffer(data, np.uint8)
+    fields = buf[heads[:, None] + np.arange(5)]  # each record's rank byte and dims
+    if fields[0, 0] != 1 or np.any(fields != fields[0]) or len(set(ids)) != count:
+        return None
+    return ids, heads, dim
+
+
+def _reject_as_embeddings(tensors: dict[str, np.ndarray]):
+    """Raise the ValueError that names the first tensor, in sorted order, that is
+    not a vector or not of the first one's shape."""
+    ids = sorted(tensors)
+    for utt in ids:
+        if tensors[utt].ndim != 1:
+            raise ValueError(f"utterance {utt} has an embedding of shape {tensors[utt].shape}, "
+                             f"not a vector")
+    first = tensors[ids[0]].shape
+    utt = next(u for u in ids if tensors[u].shape != first)
+    raise ValueError(f"utterance {utt} has an embedding of shape {tensors[utt].shape}, not "
+                     f"{first} like {ids[0]}")

@@ -698,7 +698,9 @@ def test_train_plda_names_a_scatter_that_overflows(tmp_path, capsys, monkeypatch
 
     rng = np.random.default_rng(0)
     emb = {f"u{i}": rng.standard_normal(6) * 1e160 for i in range(12)}
-    monkeypatch.setattr(tensorio, "read_tensors", lambda path: emb)
+    ids = sorted(emb)
+    monkeypatch.setattr(tensorio, "read_embeddings",
+                        lambda path: (ids, np.stack([emb[u] for u in ids])))
     labels, out = tmp_path / "labels.txt", tmp_path / "backend.svw"
     labels.write_text("".join(f"u{i} s{i % 3}\n" for i in range(12)))
     assert cli.main(["train_plda", "--embeddings", "emb.svw", "--labels", str(labels),
@@ -707,10 +709,31 @@ def test_train_plda_names_a_scatter_that_overflows(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+# tracemalloc peak of reading a 3000 x 64 float32 embedding store, as a multiple
+# of the matrix bytes: 2.51 with the file's bytes, the ids and one gather into the
+# matrix; 3.45 with one array per utterance (``read_tensors``) and then a stack
+def test_reading_an_embedding_store_holds_its_bytes_and_one_matrix(tmp_path):
+    import tracemalloc
+
+    from svkit import tensorio
+
+    n, dim = 3000, 64
+    x = np.random.default_rng(0).standard_normal((n, dim)).astype(np.float32)
+    tensorio.write_tensors(tmp_path / "emb.svw", {f"u{i:05d}": row for i, row in enumerate(x)})
+    tracemalloc.start()
+    try:
+        ids, matrix = tensorio.read_embeddings(tmp_path / "emb.svw")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ids == [f"u{i:05d}" for i in range(n)] and np.array_equal(matrix, x)
+    assert peak <= 3.0 * 4 * n * dim
+
+
 # tracemalloc peak of one in-process ``svkit train_plda`` on 3000 x 64 float32
 # embeddings (100 speakers x 30), as a multiple of the float64 training matrix:
-# 3.33 (plda) and 2.06 (cosine) with one preprocess of the training set, its rows
-# handed to the cohort and the tensor dict dropped once stacked; 5.06 and 3.92
+# 3.32 (plda) and 2.05 (cosine) with the store read straight into one matrix, one
+# preprocess of the training set and its rows handed to the cohort; 5.06 and 3.92
 # with a second preprocess for the cohort and float64 copies taken for its means
 @pytest.mark.parametrize("kind, bound", [("plda", 4.0), ("cosine", 3.0)])
 def test_train_plda_holds_its_training_set_a_bounded_number_of_times(tmp_path, kind, bound):

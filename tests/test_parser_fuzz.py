@@ -117,6 +117,67 @@ def test_tensor_store_parses_or_raises_value_error(fuzz_path, data):
         assert all(isinstance(k, str) and v.dtype == np.float32 for k, v in out.items())
 
 
+@st.composite
+def vector_stores(draw):
+    """SVW1 stores of vectors of one length with arbitrary float32 bits, in random
+    id order. The ids have one byte length (evenly spaced records) or mixed ones,
+    multi-byte UTF-8 included (unevenly spaced); some stores repeat an id, give one
+    record another rank or length, are cut short or have trailing bytes."""
+    dim = draw(st.integers(0, 5))
+    name = (st.text(alphabet="ab", min_size=2, max_size=2) if draw(st.booleans())
+            else st.text(max_size=4))
+    names = draw(st.lists(name.map(lambda s: s.encode("utf-8")), max_size=8,
+                          unique=draw(st.integers(0, 3)) < 3))
+    records = [struct.pack("<H", len(n)) + n + struct.pack("<BI", 1, dim)
+               + draw(st.binary(min_size=4 * dim, max_size=4 * dim)) for n in names]
+    if records and draw(st.integers(0, 2)) == 2:
+        rank, dims = draw(st.sampled_from([(1, (dim + 1,)), (2, (1, dim)), (0, ())]))
+        k = draw(st.integers(0, len(records) - 1))
+        records[k] = (struct.pack("<H", len(names[k])) + names[k] + struct.pack("<B", rank)
+                      + b"".join(struct.pack("<I", d) for d in dims) + b"\0" * 4 * math.prod(dims))
+    data = tensorio.WEIGHT_MAGIC + struct.pack("<I", len(records)) + b"".join(records)
+    end = draw(st.integers(0, 5))
+    if end == 4:
+        return data[: draw(st.integers(0, len(data)))]
+    return data + draw(st.binary(min_size=1, max_size=4)) if end == 5 else data
+
+
+def stacked_vectors(path):
+    """The ids and rows that ``svkit train_plda`` read with ``read_tensors``: the
+    tensors sorted by name and stacked, each that is not a vector of the first
+    one's shape named as it was."""
+    tensors = tensorio.read_tensors(path)
+    ids = sorted(tensors)
+    shapes = [tensors[u].shape for u in ids]
+    for utt, shape in zip(ids, shapes):
+        if len(shape) != 1:
+            raise ValueError(f"utterance {utt} has an embedding of shape {shape}, not a vector")
+    for utt, shape in zip(ids, shapes):
+        if shape != shapes[0]:
+            raise ValueError(f"utterance {utt} has an embedding of shape {shape}, not "
+                             f"{shapes[0]} like {ids[0]}")
+    return ids, np.stack([tensors[u] for u in ids]) if ids else np.zeros((0, 0), np.float32)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(junk, svw1(), vector_stores()))
+def test_embedding_store_reads_as_the_stacked_tensors(fuzz_path, data):
+    """``read_embeddings`` gives the ids and float32 bits of ``read_tensors`` plus a
+    stack, or the same ValueError message."""
+    fuzz_path.write_bytes(data)
+    try:
+        ids, matrix = stacked_vectors(fuzz_path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            tensorio.read_embeddings(fuzz_path)
+        assert str(raised.value) == str(exc)
+        return
+    got_ids, got = tensorio.read_embeddings(fuzz_path)
+    assert got_ids == ids
+    assert got.dtype == np.float32 and got.shape == matrix.shape
+    assert got.tobytes() == matrix.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Backend files: well-formed SVW1 stores whose tensors may be missing or misshapen
 
