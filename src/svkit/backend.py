@@ -320,11 +320,9 @@ def train_backend(embeddings: np.ndarray, labels, cfg: BackendConfig = BackendCo
     if cfg.kind == "cosine":
         backend = Backend("cosine", mean)
         return backend, preprocess(backend, embeddings)
-    # speaker indices in label order: LDA and EM then sort integers, not the label strings
-    speakers = np.unique(np.asarray(labels), return_inverse=True)[1]
-    lda = train_lda(np.subtract(embeddings, mean, dtype=np.float64), speakers)
+    lda = train_lda(np.subtract(embeddings, mean, dtype=np.float64), labels)
     rows = preprocess(Backend("plda", mean, lda), embeddings)
-    return Backend("plda", mean, lda, train_plda(rows, speakers, cfg)), rows
+    return Backend("plda", mean, lda, train_plda(rows, labels, cfg)), rows
 
 
 def preprocess(backend: Backend, embeddings: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trials import ScoreSet, TrialList, same_trials
+from .trials import ScoreSet, TrialList, check_key, check_same_trials
 
 MAX_ITERS = 1000
 CE_TOL = 1e-10
@@ -31,17 +31,9 @@ class FusionModel:
     offset: float
 
 
-def _check_aligned(scoresets: list[ScoreSet | TrialList]) -> None:
-    if not scoresets:
-        raise ValueError("no score sets to fuse")
-    for other in scoresets[1:]:
-        bad = same_trials(scoresets[0], other)
-        if bad is not None:
-            raise ValueError(f"trial mismatch at: {bad[0]} {bad[1]}")
-
-
 def fuse_weighted(scoresets: list[ScoreSet], weights) -> ScoreSet:
-    """Per-trial weighted average of aligned score sets."""
+    """Per-trial weighted average of score sets of the same trials, in the same order."""
+    check_same_trials(scoresets)
     weights = np.asarray(weights, dtype=np.float64)
     if len(weights) != len(scoresets):
         raise ValueError("one weight per score set required")
@@ -50,7 +42,6 @@ def fuse_weighted(scoresets: list[ScoreSet], weights) -> ScoreSet:
     total = float(np.sum(weights))
     if total == 0.0:
         raise ValueError("fusion weights sum to zero")
-    _check_aligned(scoresets)
     # Anchored form: identical inputs come back bit-exact.
     anchor = scoresets[0].scores
     delta = np.zeros_like(anchor)
@@ -135,13 +126,12 @@ def _apply(model: FusionModel, columns) -> np.ndarray:
 
 
 def calibrate_pipeline(scoresets: list[ScoreSet], key: TrialList) -> ScoreSet:
-    """Pre-calibrate each system, fuse by logistic regression, re-calibrate; the
-    final calibrated scores, in trial order."""
-    _check_aligned(scoresets)
-    if key.labels is None:
-        raise ValueError("key must be labeled")
-    _check_aligned([scoresets[0], key])
-    targets = key.labels
+    """Pre-calibrate each system, fuse by logistic regression, re-calibrate; the final
+    calibrated scores of the key's trials, which every score set holds in the key's order."""
+    if not scoresets:
+        raise ValueError("no score sets to fuse")
+    check_same_trials([*scoresets, key])
+    targets = check_key(key).labels
     calibrated = [_apply(train_logreg(s.scores, targets), [s.scores]) for s in scoresets]
     fused = _apply(train_logreg(np.stack(calibrated, axis=1), targets), calibrated)
     return scoresets[0].with_scores(_apply(train_logreg(fused, targets), [fused]))

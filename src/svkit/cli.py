@@ -7,6 +7,7 @@ byte-identical outputs.
 """
 
 import argparse
+import functools
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -16,7 +17,8 @@ import numpy as np
 from . import backend as backend_mod
 from . import calibration, frontend, metrics, nnet, scorenorm, synthdata, tensorio
 from .config import PipelineConfig, load_config
-from .trials import TrialList, load_scores, load_trials, same_trials, save_scores, save_trials
+from .trials import (TrialList, TrialMismatch, check_same_trials, load_key, load_scores,
+                     load_trials, save_scores, save_trials)
 
 
 class UsageError(Exception):
@@ -60,11 +62,13 @@ def _inputs(directory, pattern: str, what: str) -> list[Path]:
 
 @contextmanager
 def _naming(*paths, errors=ValueError):
-    """Append ``paths`` to an ``errors`` data error from the block; ``read_wav``
-    errors name their file already."""
+    """Append ``paths`` to an ``errors`` data error from the block (for a ``TrialMismatch``,
+    the first path and the differing list's); ``read_wav`` errors name their file already."""
     try:
         yield
     except errors as exc:
+        if isinstance(exc, TrialMismatch):
+            paths = (paths[0], paths[exc.index])
         raise ValueError(f"{exc}: {', '.join(map(str, paths))}") from None
 
 
@@ -72,27 +76,6 @@ def _load_named(loader, path):
     """``loader(path)``, with ``path`` appended to its data errors."""
     with _naming(path):
         return loader(path)
-
-
-def _load_key(path) -> TrialList:
-    """The trial list at ``path``, which must be labeled with both classes."""
-    with _naming(path):
-        key = load_trials(path)
-        if key.labels is None:
-            raise ValueError("key must be labeled")
-        if key.labels.all() or not key.labels.any():
-            raise ValueError("single-class key: need both targets and nontargets")
-    return key
-
-
-def _check_trials(*named) -> None:
-    """Each (trial list, its file) after the first must hold the first one's trials
-    in the same order; a mismatch names the first file and the other."""
-    (first, first_path), *rest = named
-    for other, path in rest:
-        bad = same_trials(first, other)
-        if bad is not None:
-            raise ValueError(f"trials do not match at: {bad[0]} {bad[1]}: {first_path}, {path}")
 
 
 def cmd_synth(args) -> int:
@@ -124,34 +107,33 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_feats(args) -> int:
-    cfg = _load_pipeline_config(args)
+def _per_wav(args, suffix: str, compute, done: str) -> int:
+    """Write ``compute(wave)`` of each WAV file in ``--wav-dir`` to ``--out-dir``, one SVF1
+    file per stem, with ``suffix``; a data error names the WAV file. ``done`` heads the count."""
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     wavs = _inputs(args.wav_dir, "*.wav", "WAV files")
-    extractor = frontend.fbank if args.feat == "fbank" else frontend.plp
     for path in wavs:
         wave = frontend.read_wav(path)
         with _naming(path):
-            feats = extractor(wave)
-            if cfg.apply_stmn:
-                feats = frontend.stmn(feats)
-        tensorio.write_feature_matrix(out_dir / f"{path.stem}.feat", feats)
-    print(f"extracted {args.feat} features for {len(wavs)} files", file=sys.stderr)
+            matrix = compute(wave)
+        tensorio.write_feature_matrix(out_dir / f"{path.stem}{suffix}", matrix)
+    print(f"{done} for {len(wavs)} files", file=sys.stderr)
     return 0
+
+
+def cmd_feats(args) -> int:
+    cfg = _load_pipeline_config(args)
+    extractor = frontend.fbank if args.feat == "fbank" else frontend.plp
+    stmn = frontend.stmn if cfg.apply_stmn else (lambda feats: feats)
+    return _per_wav(args, ".feat", lambda wave: stmn(extractor(wave)),
+                    f"extracted {args.feat} features")
 
 
 def cmd_vad(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    wavs = _inputs(args.wav_dir, "*.wav", "WAV files")
-    for path in wavs:
-        wave = frontend.read_wav(path)
-        with _naming(path):
-            mask = frontend.energy_vad(wave)
-        tensorio.write_feature_matrix(out_dir / f"{path.stem}.vad", mask[:, None].astype(np.float32))
-    print(f"computed VAD for {len(wavs)} files", file=sys.stderr)
-    return 0
+    return _per_wav(args, ".vad",
+                    lambda wave: frontend.energy_vad(wave)[:, None].astype(np.float32),
+                    "computed VAD")
 
 
 def cmd_embed(args) -> int:
@@ -235,7 +217,8 @@ def cmd_score(args) -> int:
     backend, _ = _load_named(backend_mod.load_backend, args.backend_file)
     embeddings = _load_named(tensorio.read_tensors, args.embeddings)
     trials = _load_named(load_trials, args.trials)
-    scores = backend_mod.score_trials(backend, embeddings, trials)
+    with _naming(args.embeddings):  # an utterance that the store lacks or cannot score
+        scores = backend_mod.score_trials(backend, embeddings, trials)
     save_scores(args.out, scores)
     print(f"scored {len(scores)} trials", file=sys.stderr)
     return 0
@@ -247,9 +230,11 @@ def cmd_snorm(args) -> int:
     embeddings = _load_named(tensorio.read_tensors, args.embeddings)
     trials = _load_named(load_trials, args.trials)
     raw = _load_named(load_scores, args.scores)
-    _check_trials((trials, args.trials), (raw, args.scores))
+    with _naming(args.trials, args.scores):
+        check_same_trials([trials, raw])
     snorm_cfg = scorenorm.SnormConfig(top_x=cfg.snorm_top_x)
-    out = scorenorm.snorm_scores(backend, embeddings, raw, cohort, snorm_cfg)
+    with _naming(args.embeddings):  # an utterance that the store lacks or cannot score
+        out = scorenorm.snorm_scores(backend, embeddings, raw, cohort, snorm_cfg)
     save_scores(args.out, out)
     if args.cohort_scores_out:
         # cache of per-utterance cohort scores, one row per sorted trial utt
@@ -261,12 +246,16 @@ def cmd_snorm(args) -> int:
     return 0
 
 
+def _calibrated(score_paths, key_path):
+    """The calibrated scores of ``calibrate`` (one score file) and ``fuse --key`` (several)."""
+    scoresets = [_load_named(load_scores, p) for p in score_paths]
+    key = _load_named(load_key, key_path)
+    with _naming(*score_paths, key_path, errors=TrialMismatch):
+        return calibration.calibrate_pipeline(scoresets, key)
+
+
 def cmd_calibrate(args) -> int:
-    scores = _load_named(load_scores, args.scores)
-    key = _load_key(args.key)
-    _check_trials((scores, args.scores), (key, args.key))
-    calibrated = calibration.calibrate_pipeline([scores], key)
-    save_scores(args.out, calibrated)
+    save_scores(args.out, _calibrated([args.scores], args.key))
     print("calibrated scores written", file=sys.stderr)
     return 0
 
@@ -279,13 +268,10 @@ def _parse_weights(text: str) -> list[float]:
 
 
 def cmd_fuse(args) -> int:
-    scoresets = [_load_named(load_scores, p) for p in args.scores]
-    named = list(zip(scoresets, args.scores))
     if args.key:
-        key = _load_key(args.key)
-        _check_trials(*named, (key, args.key))
-        fused = calibration.calibrate_pipeline(scoresets, key)
+        fused = _calibrated(args.scores, args.key)
     else:
+        scoresets = [_load_named(load_scores, p) for p in args.scores]
         weights = (list(calibration.FUSION_WEIGHTS) if args.weights is None
                    else _parse_weights(args.weights))
         if args.weights is None and len(weights) != len(scoresets):
@@ -294,17 +280,17 @@ def cmd_fuse(args) -> int:
                              "give --weights or --key")
         if len(weights) == 1 and len(scoresets) > 1:
             weights = weights * len(scoresets)
-        _check_trials(*named)
-        fused = calibration.fuse_weighted(scoresets, weights)
+        with _naming(*args.scores, errors=TrialMismatch):
+            fused = calibration.fuse_weighted(scoresets, weights)
     save_scores(args.out, fused)
-    print(f"fused {len(scoresets)} systems", file=sys.stderr)
+    print(f"fused {len(args.scores)} systems", file=sys.stderr)
     return 0
 
 
 def cmd_eval(args) -> int:
     cfg = _load_pipeline_config(args)
     scores = _load_named(load_scores, args.scores)
-    key = _load_key(args.key)
+    key = _load_named(load_key, args.key)
     params = metrics.DcfParams(cfg.dcf_p_target)
     with _naming(args.scores, args.key):  # trials that do not pair up, in any order
         eer = metrics.compute_eer(scores, key)
@@ -317,6 +303,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process, shared by every caller: read it, do not change it
 def build_parser() -> _Parser:
     parser = _Parser(prog="svkit", description="speaker verification pipeline")
     sub = parser.add_subparsers(dest="command")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trials import ScoreSet, TrialList
+from .trials import ScoreSet, TrialList, key_targets
 
 
 @dataclass(frozen=True)
@@ -26,23 +26,8 @@ class DcfParams:
 
 def split_tar_non(scores: ScoreSet, key: TrialList) -> tuple[np.ndarray, np.ndarray]:
     """Target and nontarget score arrays; scores and key hold the same trials."""
-    if key.labels is None:
-        raise ValueError("key must be labeled")
-    labels = {pair: bool(lab) for pair, lab in zip(key.pairs(), key.labels)}
-    mask = np.empty(len(scores), dtype=bool)
-    for i, pair in enumerate(scores.pairs()):
-        if pair not in labels:
-            raise ValueError(f"trial not in key: {pair[0]} {pair[1]}")
-        mask[i] = labels[pair]
-    if len(scores) < len(key):
-        scored = set(scores.pairs())
-        e, t = next(pair for pair in key.pairs() if pair not in scored)
-        raise ValueError(f"key trial not scored: {e} {t}")
-    tar = scores.scores[mask]
-    non = scores.scores[~mask]
-    if len(tar) == 0 or len(non) == 0:
-        raise ValueError("single-class key: need both targets and nontargets")
-    return tar, non
+    mask = key_targets(scores, key)
+    return scores.scores[mask], scores.scores[~mask]
 
 
 def _sweep(tar: np.ndarray, non: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
-"""Trial lists and score sets, plus their text file formats.
+"""Trial lists and score sets, their text file formats, and the rules that
+pair them: same trials in the same order, or a score set and its key.
 
 Trial files hold one trial per line, either "label enroll test" with label
 in {1, 0} (1 = target) or keyless "enroll test"; the two styles cannot be
@@ -77,50 +78,89 @@ def same_trials(a: _PairList, b: _PairList) -> tuple[str, str] | None:
     return None
 
 
+class TrialMismatch(ValueError):
+    """Lists that must hold the same trials in the same order differ at list ``index``."""
+
+    def __init__(self, trial: tuple[str, str], index: int):
+        super().__init__(f"trials do not match at: {trial[0]} {trial[1]}")
+        self.index = index
+
+
+def check_same_trials(lists) -> None:
+    """Raise TrialMismatch unless every list holds the first one's trials in its order."""
+    for index in range(1, len(lists)):
+        bad = same_trials(lists[0], lists[index])
+        if bad is not None:
+            raise TrialMismatch(bad, index)
+
+
+def check_key(key: TrialList) -> TrialList:
+    """``key``, which must be labeled and hold both classes."""
+    if key.labels is None:
+        raise ValueError("key must be labeled")
+    if key.labels.all() or not key.labels.any():
+        raise ValueError("single-class key: need both targets and nontargets")
+    return key
+
+
+def key_targets(scores: _PairList, key: TrialList) -> np.ndarray:
+    """Each scored trial's key label (True = target), looked up in any order;
+    every scored trial must be in the key and every key trial scored."""
+    labels = dict(zip(key.pairs(), check_key(key).labels.tolist()))
+    try:
+        mask = np.array([labels[pair] for pair in scores.pairs()], dtype=bool)
+    except KeyError as exc:
+        raise ValueError(f"trial not in key: {' '.join(exc.args[0])}") from None
+    if len(scores) < len(key):
+        scored = set(scores.pairs())
+        e, t = next(pair for pair in key.pairs() if pair not in scored)
+        raise ValueError(f"key trial not scored: {e} {t}")
+    return mask
+
+
 def parse_trials(text: str) -> TrialList:
     """Parse a trial list, rejecting malformed or mixed keyed/keyless lines."""
     enroll: list[str] = []
     test: list[str] = []
     labels: list[bool] = []
-    keyed: bool | None = None
+    keyed: int | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if not parts:
             continue
-        if len(parts) == 3:
-            if keyed is False:
-                raise ValueError(f"line {lineno}: keyed line in a keyless trial list")
+        style = len(parts) - 2  # 1 keyed, 0 keyless
+        if style != keyed:
+            if style not in (0, 1):
+                raise ValueError(f"line {lineno}: expected 2 or 3 fields")
+            if keyed is not None:
+                styles = ("keyless", "keyed")
+                raise ValueError(f"line {lineno}: {styles[style]} line in a {styles[keyed]} "
+                                 "trial list")
+            keyed = style
+        if style:
             if parts[0] not in ("0", "1"):
                 raise ValueError(f"line {lineno}: label must be 0 or 1")
-            keyed = True
             labels.append(parts[0] == "1")
-            enroll.append(parts[1])
-            test.append(parts[2])
-        elif len(parts) == 2:
-            if keyed is True:
-                raise ValueError(f"line {lineno}: keyless line in a keyed trial list")
-            keyed = False
-            enroll.append(parts[0])
-            test.append(parts[1])
-        else:
-            raise ValueError(f"line {lineno}: expected 2 or 3 fields")
+        enroll.append(parts[-2])
+        test.append(parts[-1])
     return TrialList(enroll, test, np.array(labels, dtype=bool) if keyed else None)
 
 
 def format_trials(trials: TrialList) -> str:
-    lines = []
-    if trials.labels is not None:
-        for e, t, lab in zip(trials.enroll, trials.test, trials.labels):
-            lines.append(f"{1 if lab else 0} {e} {t}")
-    else:
-        for e, t in zip(trials.enroll, trials.test):
-            lines.append(f"{e} {t}")
+    labels = [""] * len(trials) if trials.labels is None else [
+        "1 " if lab else "0 " for lab in trials.labels.tolist()]
+    lines = [f"{lab}{e} {t}" for lab, e, t in zip(labels, trials.enroll, trials.test)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def load_trials(path) -> TrialList:
     with open(path, "r", encoding="utf-8") as f:
         return parse_trials(f.read())
+
+
+def load_key(path) -> TrialList:
+    """The trial list at ``path``, which ``check_key`` must accept."""
+    return check_key(load_trials(path))
 
 
 def save_trials(path, trials: TrialList) -> None:

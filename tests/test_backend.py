@@ -412,6 +412,28 @@ class TestPldaTraining:
             tracemalloc.stop()
         assert peak < 1.5 * x.nbytes
 
+    @staticmethod
+    def avg_var(x):
+        """``train_plda``'s variance scale: the mean over dimensions of the
+        training set's variance, in its order of operations."""
+        xc = x - x.mean(axis=0)
+        return float(np.mean(np.diag(xc.T @ xc) / len(x)))
+
+    def test_constant_dimension_drives_psi_to_its_floor(self):
+        x, labels = uneven_sessions()
+        x[:, 2] = 1.5  # no variance at all along one axis
+        est = bk.train_plda(x, labels, bk.BackendConfig(rank_speaker=2, rank_channel=2,
+                                                        em_iters=3))
+        assert est.psi.min() == 1e-10 * self.avg_var(x)
+
+    def test_small_residual_variance_is_kept_above_the_floor(self):
+        x, labels = uneven_sessions()
+        x[:, 2] = 1.5 + 1e-3 * np.random.default_rng(0).standard_normal(len(x))
+        est = bk.train_plda(x, labels, bk.BackendConfig(rank_speaker=2, rank_channel=2,
+                                                        em_iters=3))
+        # about 1e-7 of the variance scale, which a floor at 1e-3 of it would hide
+        assert 1e-10 * self.avg_var(x) < est.psi.min() < 1e-3 * self.avg_var(x)
+
     def test_deterministic_given_seed(self):
         spec = sd.SynthSpec(seed=2, dim=8, num_speakers=12, utts_per_speaker=4,
                             rank_speaker=2, rank_channel=2)

@@ -65,7 +65,7 @@ class TestFuseWeighted:
     def test_trial_mismatch_names_offender(self):
         a = ScoreSet(["e1", "e2"], ["t1", "t2"], np.array([0.0, 1.0]))
         b = ScoreSet(["e1", "eX"], ["t1", "tX"], np.array([0.0, 1.0]))
-        with pytest.raises(ValueError, match="trial mismatch at: e2 t2"):
+        with pytest.raises(ValueError, match="trials do not match at: e2 t2"):
             cal.fuse_weighted([a, b], (0.5, 0.5))
 
     def test_order_and_cardinality_preserved(self):
@@ -262,6 +262,6 @@ class TestCalibratePipeline:
         sset, key = llr_scores(11, 20, 20)
         enroll = list(key.enroll)
         enroll[1] = "other"
-        with pytest.raises(ValueError, match="^trial mismatch at: xe1 xt1$"):
+        with pytest.raises(ValueError, match="^trials do not match at: xe1 xt1$"):
             cal.calibrate_pipeline([sset], TrialList(enroll, list(key.test), key.labels))
 

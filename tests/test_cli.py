@@ -606,7 +606,7 @@ class TestSvw1Inputs:
         assert score_one_trial(tmp_path, command, kind, np.ones(3)) == 2
         assert capsys.readouterr().err == (
             "error: utterance b has an embedding of shape (3,), "
-            "but the backend scores shape (4,)\n")
+            f"but the backend scores shape (4,): {tmp_path / 'emb.svw'}\n")
 
     @pytest.mark.parametrize("command", ["score", "snorm"])
     @pytest.mark.parametrize("kind", ["cosine", "plda"])
@@ -618,7 +618,7 @@ class TestSvw1Inputs:
     def test_unscorable_embedding_names_its_utterance(self, tmp_path, capsys, command, kind,
                                                       b, message):
         assert score_one_trial(tmp_path, command, kind, b) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message}: {tmp_path / 'emb.svw'}\n"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_train_plda_names_a_non_finite_embedding(self, tmp_path, capsys, bad):
@@ -763,8 +763,8 @@ def test_train_plda_holds_its_training_set_a_bounded_number_of_times(tmp_path, k
 
 
 def write_fault_inputs(directory) -> None:
-    """Valid inputs of ``calibrate``, ``fuse``, ``eval``, ``snorm``, ``train_plda`` and
-    ``embed`` in ``directory``, and the faulty files of ``FAULTS``."""
+    """Valid inputs of ``calibrate``, ``fuse``, ``eval``, ``score``, ``snorm``, ``train_plda``
+    and ``embed`` in ``directory``, and the faulty files of ``FAULTS``."""
     from svkit import tensorio
 
     enroll, test, labels = ["a", "c", "a", "b"], ["b", "d", "c", "d"], [True, True, False, False]
@@ -790,7 +790,12 @@ def write_fault_inputs(directory) -> None:
     backend.save_backend(directory / "zero_psi.svw",
                          backend.Backend("plda", np.zeros(4), np.eye(4), no_noise), np.eye(4))
     rng = np.random.default_rng(5)
-    tensorio.write_tensors(directory / "emb.svw", {u: rng.standard_normal(4) for u in "abcd"})
+    rows = {u: rng.standard_normal(4) for u in "abcd"}
+    tensorio.write_tensors(directory / "emb.svw", rows)
+    # stores whose utterance d is missing, non-finite, of another shape or at the backend's mean
+    tensorio.write_tensors(directory / "partial_emb.svw", {u: rows[u] for u in "abc"})
+    for name, d in (("nan", np.full(4, np.nan)), ("short", np.ones(3)), ("mean", np.zeros(4))):
+        tensorio.write_tensors(directory / f"{name}_emb.svw", {**rows, "d": d})
     # a and -a for s0, 0 and b for s1, -b for s2: the training mean is 0
     a, b = np.array([1.0, 2.0, 0.0, -1.0]), np.array([0.5, -1.0, 3.0, 2.0])
     tensorio.write_tensors(directory / "cancel.svw",
@@ -865,6 +870,14 @@ FAULTS = {
        for argv in (["score", "--backend-file", "zero_psi.svw", "--embeddings", "emb.svw",
                      "--trials", "trials.txt"],
                     ["snorm", "--backend-file", "zero_psi.svw"] + SNORM_TRIALS)},
+    **{f"{command}-store-{store.split('_')[0]}": (
+        [command, "--backend-file", "backend.svw", "--embeddings", store, "--trials", "trials.txt"]
+        + ["--scores", "a.scores"] * (command == "snorm"), [store], message)
+       for command in ("score", "snorm")
+       for store, message in (("partial_emb.svw", "unknown utterance id: d"),
+                              ("nan_emb.svw", "utterance d has a non-finite embedding"),
+                              ("short_emb.svw", "utterance d has an embedding of shape (3,)"),
+                              ("mean_emb.svw", "utterance d: degenerate norm: zero vector"))},
     "embed-one-class-weights": (EMBED_ON + ["tdnn-standard", "--weights", "one_class.svw"],
                                 ["one_class.svw"], "num_classes must be >= 2"),
     "embed-bad-embedding-dim": (EMBED_ON + ["resnet34", "--config", "dim128.cfg"],

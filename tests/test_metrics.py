@@ -125,6 +125,14 @@ class TestMinDcf:
             got = mt.min_dcf_from_tar_non(tar, non, mt.DcfParams(p_target=p))
             assert abs(got - dcf_oracle(tar, non, p)) <= 1e-12
 
+    def test_matches_oracle_for_a_prior_above_one_half(self):
+        # normalized by min(p, 1 - p), which is 1 - p here
+        rng = np.random.default_rng(4)
+        tar = rng.standard_normal(300) + 1.5
+        non = rng.standard_normal(500)
+        got = mt.min_dcf_from_tar_non(tar, non, mt.DcfParams(p_target=0.9))
+        assert abs(got - dcf_oracle(tar, non, 0.9)) <= 1e-12
+
     def test_bounded_by_one(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)
