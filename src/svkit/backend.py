@@ -341,10 +341,24 @@ def score_pair(backend: Backend, a: np.ndarray, b: np.ndarray) -> float:
     return plda_llr(backend.plda, a, b)
 
 
+def check_finite(ids, rows: np.ndarray) -> None:
+    """Raise the ValueError that names the first of ``ids`` whose row is not finite."""
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"utterance {ids[np.argmin(finite)]} has a non-finite embedding")
+
+
+def check_off_mean(ids, rows: np.ndarray, mean: np.ndarray) -> None:
+    """Raise the ValueError that names the first of ``ids`` whose row is ``mean``."""
+    at_mean = (rows == mean).all(axis=1)
+    if at_mean.any():
+        raise ValueError(f"utterance {ids[np.argmax(at_mean)]}: degenerate norm: zero vector")
+
+
 def preprocess_by_id(backend: Backend, embeddings_by_id, ids) -> dict[str, np.ndarray]:
     """Preprocessed vector of each distinct id, in first-seen order, from one
     ``preprocess`` call per id, so it is the same whichever command asks. Each
-    vector must be finite, have the shape of the backend's mean and differ from it."""
+    vector must have the shape of the backend's mean, be finite and differ from it."""
     out: dict[str, np.ndarray] = {}
     for utt in ids:
         if utt not in out:
@@ -354,10 +368,8 @@ def preprocess_by_id(backend: Backend, embeddings_by_id, ids) -> dict[str, np.nd
             if emb.shape != backend.mean.shape:
                 raise ValueError(f"utterance {utt} has an embedding of shape {emb.shape}, "
                                  f"but the backend scores shape {backend.mean.shape}")
-            if not np.all(np.isfinite(emb)):
-                raise ValueError(f"utterance {utt} has a non-finite embedding")
-            if np.array_equal(emb, backend.mean):  # centered, its norm is zero
-                raise ValueError(f"utterance {utt}: degenerate norm: zero vector")
+            check_finite((utt,), emb[None])
+            check_off_mean((utt,), emb[None], backend.mean)
             out[utt] = preprocess(backend, emb)
     return out
 
@@ -366,8 +378,7 @@ def score_trials(backend: Backend, embeddings_by_id, trials: TrialList) -> Score
     """One backend score per trial, in trial order."""
     pairs = trials.pairs()
     prepped = preprocess_by_id(backend, embeddings_by_id, (u for pair in pairs for u in pair))
-    scores = np.array([score_pair(backend, prepped[e], prepped[t]) for e, t in pairs])
-    return ScoreSet(list(trials.enroll), list(trials.test), scores)
+    return trials.with_scores([score_pair(backend, prepped[e], prepped[t]) for e, t in pairs])
 
 
 # in file order, so that saved backends stay byte-identical

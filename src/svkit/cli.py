@@ -174,31 +174,26 @@ def cmd_train_plda(args) -> int:
     cfg = _load_pipeline_config(args)
     utts, x = _load_named(tensorio.read_embeddings, args.embeddings)  # rows in id order
     labels_by_utt = _load_named(_read_labels, args.labels)
-    if not utts:
-        raise ValueError(f"no embeddings: {args.embeddings}")
-    missing = [u for u in utts if u not in labels_by_utt]
-    if missing:
-        raise ValueError(f"no label for utterance {missing[0]}: {args.labels}")
-    if x.shape[1] == 0:
-        raise ValueError(f"embeddings of dimension 0: {args.embeddings}")
-    finite = np.all(np.isfinite(x), axis=1)
-    if not finite.all():
-        raise ValueError(f"utterance {utts[np.argmin(finite)]} has a non-finite embedding: "
-                         f"{args.embeddings}")
-    # each row's speaker as an index into the sorted speaker names, coded once here
-    names, speakers = np.unique([labels_by_utt[u] for u in utts], return_inverse=True)
-    if len(names) < 2:  # S-norm scores against at least two cohort speakers
-        raise ValueError(f"need at least two speakers, got {len(names)}: {args.labels}")
-    mean = backend_mod.estimate_center(x)
-    if args.backend == "plda":  # centered, an embedding at the mean has a zero length norm
-        at_mean = np.all(x == mean, axis=1)
-        if at_mean.any():
-            raise ValueError(f"utterance {utts[np.argmax(at_mean)]}: degenerate norm: "
-                             f"zero vector: {args.embeddings}")
-    rank = min(cfg.plda_rank_speaker, x.shape[1])
+    with _naming(args.embeddings):  # the store's faults come before the labels'
+        if not utts:
+            raise ValueError("no embeddings")
+        if x.shape[1] == 0:
+            raise ValueError("embeddings of dimension 0")
+        backend_mod.check_finite(utts, x)  # first: a column of inf and -inf has no mean
+        mean = backend_mod.estimate_center(x)
+        if args.backend == "plda":  # PLDA length-normalizes each centered row, cosine does not
+            backend_mod.check_off_mean(utts, x, mean)
+    with _naming(args.labels):
+        missing = [u for u in utts if u not in labels_by_utt]
+        if missing:
+            raise ValueError(f"no label for utterance {missing[0]}")
+        # each row's speaker as an index into the sorted speaker names, coded once here
+        names, speakers = np.unique([labels_by_utt[u] for u in utts], return_inverse=True)
+        if len(names) < 2:  # S-norm scores against at least two cohort speakers
+            raise ValueError(f"need at least two speakers, got {len(names)}")
     bcfg = backend_mod.BackendConfig(
         kind=args.backend,
-        rank_speaker=rank,
+        rank_speaker=min(cfg.plda_rank_speaker, x.shape[1]),
         rank_channel=min(cfg.plda_rank_channel, x.shape[1]),
         em_iters=cfg.em_iters,
         seed=args.seed,
@@ -215,7 +210,7 @@ def cmd_train_plda(args) -> int:
 
 def cmd_score(args) -> int:
     backend, _ = _load_named(backend_mod.load_backend, args.backend_file)
-    embeddings = _load_named(tensorio.read_tensors, args.embeddings)
+    embeddings = dict(zip(*_load_named(tensorio.read_embeddings, args.embeddings)))
     trials = _load_named(load_trials, args.trials)
     with _naming(args.embeddings):  # an utterance that the store lacks or cannot score
         scores = backend_mod.score_trials(backend, embeddings, trials)
@@ -227,7 +222,7 @@ def cmd_score(args) -> int:
 def cmd_snorm(args) -> int:
     cfg = _load_pipeline_config(args)
     backend, cohort = _load_named(backend_mod.load_backend, args.backend_file)
-    embeddings = _load_named(tensorio.read_tensors, args.embeddings)
+    embeddings = dict(zip(*_load_named(tensorio.read_embeddings, args.embeddings)))
     trials = _load_named(load_trials, args.trials)
     raw = _load_named(load_scores, args.scores)
     with _naming(args.trials, args.scores):

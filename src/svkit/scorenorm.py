@@ -84,6 +84,5 @@ def snorm_scores(backend: Backend, embeddings_by_id, raw: ScoreSet,
     pairs = raw.pairs()
     prepped = preprocess_by_id(backend, embeddings_by_id, (u for pair in pairs for u in pair))
     against = {utt: cohort_scores(backend, x, cohort) for utt, x in prepped.items()}
-    return raw.with_scores(np.array([
-        adapt_snorm(s, against[e], against[t], cfg) for s, (e, t) in zip(raw.scores, pairs)
-    ]))
+    return raw.with_scores([adapt_snorm(s, against[e], against[t], cfg)
+                            for s, (e, t) in zip(raw.scores, pairs)])

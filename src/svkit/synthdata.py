@@ -120,10 +120,7 @@ def gen_trials(labels, n_target: int, n_nontarget: int, seed: int) -> TrialList:
 def oracle_scores(model: PldaModel, embeddings: np.ndarray, trials: TrialList) -> ScoreSet:
     """Bayes log-likelihood-ratio scores under the ground-truth model."""
     by_id = {u: embeddings[k] for k, u in enumerate(utt_ids(len(embeddings)))}
-    scores = np.array([
-        plda_llr(model, by_id[e], by_id[t]) for e, t in zip(trials.enroll, trials.test)
-    ])
-    return ScoreSet(list(trials.enroll), list(trials.test), scores)
+    return trials.with_scores([plda_llr(model, by_id[e], by_id[t]) for e, t in trials.pairs()])
 
 
 def _resonator(freqs_hz: np.ndarray, sample_rate: int) -> tuple[np.ndarray, float]:

@@ -4,14 +4,9 @@ SVF1: magic, u32 rows, u32 cols, row-major little-endian float32.
 SVW1: magic, u32 tensor count, then per tensor u16 name length, name bytes,
 u8 rank, rank x u32 dims, row-major little-endian float32 data.
 
-An embedding store is an SVW1 store of vectors of one length, one per
-utterance, named by its utterance id: what ``svkit embed`` writes.
-``read_embeddings`` reads one straight into the rows of one matrix. Its
-records differ only in their ids, so one Python step per record finds each
-id and where its vector starts, the rank and dims bytes of all records are
-compared at once, and one gather copies every vector, no per-utterance
-array made. Any other input is parsed record by record, as ``read_tensors``
-does, so that it is named with the same message.
+An embedding store, an SVW1 store of one vector of one length per utterance
+id, is what ``svkit embed`` writes and what every command that takes one
+(``train_plda``, ``score``, ``snorm``) reads, with ``read_embeddings``.
 """
 
 import math
@@ -22,7 +17,7 @@ import numpy as np
 FEATURE_MAGIC = b"SVF1"
 WEIGHT_MAGIC = b"SVW1"
 
-# record fields of SVW1, compiled once: a file of embeddings is one record per utterance
+# record fields of SVW1, compiled once for the writer and both readers
 _U32, _U16, _U8 = struct.Struct("<I"), struct.Struct("<H"), struct.Struct("<B")
 _DIMS = tuple(struct.Struct(f"<{rank}I") for rank in range(0x100))
 _F4 = np.dtype("<f4")
@@ -53,7 +48,7 @@ def read_feature_matrix(path) -> np.ndarray:
 def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
     with open(path, "wb") as f:
         f.write(WEIGHT_MAGIC)
-        f.write(struct.pack("<I", len(tensors)))
+        f.write(_U32.pack(len(tensors)))
         for name, value in tensors.items():
             arr = np.ascontiguousarray(value, dtype="<f4")
             encoded = name.encode("utf-8")
@@ -61,11 +56,10 @@ def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
                 raise ValueError("tensor name too long")
             if arr.ndim > 0xFF:
                 raise ValueError("tensor rank too large")
-            f.write(struct.pack("<H", len(encoded)))
+            f.write(_U16.pack(len(encoded)))
             f.write(encoded)
-            f.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                f.write(struct.pack("<I", dim))
+            f.write(_U8.pack(arr.ndim))
+            f.write(_DIMS[arr.ndim].pack(*arr.shape))
             f.write(arr.tobytes())
 
 

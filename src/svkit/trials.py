@@ -34,6 +34,17 @@ class _PairList:
     def pairs(self) -> list[tuple[str, str]]:
         return list(zip(self.enroll, self.test))
 
+    def with_scores(self, scores) -> "ScoreSet":
+        """These trials with one score each; their id lists, checked already, are shared."""
+        scores = np.asarray(scores, dtype=np.float64)
+        if scores.shape != (len(self.enroll),):
+            raise ValueError("score set fields differ in length")
+        if not np.all(np.isfinite(scores)):
+            raise ValueError("non-finite score")
+        out = object.__new__(ScoreSet)
+        out.enroll, out.test, out.scores = self.enroll, self.test, scores
+        return out
+
 
 @dataclass(eq=False)
 class TrialList(_PairList):
@@ -57,14 +68,7 @@ class ScoreSet(_PairList):
 
     def __post_init__(self):
         super().__post_init__()
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        if self.scores.shape != (len(self.enroll),):
-            raise ValueError("score set fields differ in length")
-        if self.scores.size and not np.all(np.isfinite(self.scores)):
-            raise ValueError("non-finite score")
-
-    def with_scores(self, scores) -> "ScoreSet":
-        return ScoreSet(list(self.enroll), list(self.test), scores)
+        self.scores = self.with_scores(self.scores).scores
 
 
 def same_trials(a: _PairList, b: _PairList) -> tuple[str, str] | None:

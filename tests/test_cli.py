@@ -543,13 +543,14 @@ def write_backend(path, kind: str, dim: int = 4) -> None:
     backend.save_backend(path, model, rng.standard_normal((3, dim)))
 
 
-def score_one_trial(tmp_path, command: str, kind: str, b: np.ndarray) -> int:
-    """Exit code of ``command`` (score or snorm) on the trial a-b, with a = ones(4),
-    over a 4-dimensional ``kind`` backend; the command must write no output."""
+def score_one_trial(tmp_path, command: str, kind: str, b: np.ndarray,
+                    a: np.ndarray = np.ones(4)) -> int:
+    """Exit code of ``command`` (score or snorm) on the trial a-b, with a = ones(4) unless
+    given, over a 4-dimensional ``kind`` backend; the command must write no output."""
     from svkit import tensorio
 
     write_backend(tmp_path / "backend.svw", kind)
-    tensorio.write_tensors(tmp_path / "emb.svw", {"a": np.ones(4), "b": b})
+    tensorio.write_tensors(tmp_path / "emb.svw", {"a": a, "b": b})
     save_trials(tmp_path / "trials.txt", TrialList(["a"], ["b"]))
     save_scores(tmp_path / "raw.scores", ScoreSet(["a"], ["b"], np.array([0.5])))
     out = tmp_path / "out.scores"
@@ -606,6 +607,38 @@ class TestSvw1Inputs:
         assert score_one_trial(tmp_path, command, kind, np.ones(3)) == 2
         assert capsys.readouterr().err == (
             "error: utterance b has an embedding of shape (3,), "
+            f"not (4,) like a: {tmp_path / 'emb.svw'}\n")
+
+    def test_every_command_refuses_a_ragged_store_alike(self, tmp_path, capsys):
+        from svkit import tensorio
+
+        inputs = {"--backend-file": tmp_path / "backend.svw", "--embeddings": tmp_path / "emb.svw",
+                  "--trials": tmp_path / "trials.txt", "--scores": tmp_path / "raw.scores",
+                  "--labels": tmp_path / "labels.txt"}
+        write_backend(inputs["--backend-file"], "cosine")
+        emb = inputs["--embeddings"]
+        tensorio.write_tensors(emb, {"a": np.ones(4), "b": np.ones(3), "c": -np.ones(4)})
+        save_trials(inputs["--trials"], TrialList(["a"], ["c"]))
+        save_scores(inputs["--scores"], ScoreSet(["a"], ["c"], np.array([0.5])))
+        inputs["--labels"].write_text("a s0\nb s1\nc s1\n")
+        for command, flags in (("score", ("--backend-file", "--embeddings", "--trials")),
+                               ("snorm", ("--backend-file", "--embeddings", "--trials",
+                                          "--scores")),
+                               ("train_plda", ("--embeddings", "--labels"))):
+            out = tmp_path / f"{command}.out"
+            argv = [command, *(str(x) for f in flags for x in (f, inputs[f])), "--out", str(out)]
+            assert cli.main(argv) == 2, command
+            assert capsys.readouterr().err == (
+                f"error: utterance b has an embedding of shape (3,), not (4,) like a: {emb}\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["score", "snorm"])
+    @pytest.mark.parametrize("kind", ["cosine", "plda"])
+    def test_store_of_another_length_than_the_backend_names_the_first_trial_utterance(
+            self, tmp_path, capsys, command, kind):
+        assert score_one_trial(tmp_path, command, kind, np.ones(3), a=-np.ones(3)) == 2
+        assert capsys.readouterr().err == (
+            "error: utterance a has an embedding of shape (3,), "
             f"but the backend scores shape (4,): {tmp_path / 'emb.svw'}\n")
 
     @pytest.mark.parametrize("command", ["score", "snorm"])
@@ -792,10 +825,12 @@ def write_fault_inputs(directory) -> None:
     rng = np.random.default_rng(5)
     rows = {u: rng.standard_normal(4) for u in "abcd"}
     tensorio.write_tensors(directory / "emb.svw", rows)
-    # stores whose utterance d is missing, non-finite, of another shape or at the backend's mean
+    # stores whose utterance d is missing, non-finite, of another shape or at the backend's mean,
+    # and one with a matrix under an id that no trial names
     tensorio.write_tensors(directory / "partial_emb.svw", {u: rows[u] for u in "abc"})
     for name, d in (("nan", np.full(4, np.nan)), ("short", np.ones(3)), ("mean", np.zeros(4))):
         tensorio.write_tensors(directory / f"{name}_emb.svw", {**rows, "d": d})
+    tensorio.write_tensors(directory / "not-vectors_emb.svw", {**rows, "m": np.zeros((2, 4))})
     # a and -a for s0, 0 and b for s1, -b for s2: the training mean is 0
     a, b = np.array([1.0, 2.0, 0.0, -1.0]), np.array([0.5, -1.0, 3.0, 2.0])
     tensorio.write_tensors(directory / "cancel.svw",
@@ -877,7 +912,9 @@ FAULTS = {
        for store, message in (("partial_emb.svw", "unknown utterance id: d"),
                               ("nan_emb.svw", "utterance d has a non-finite embedding"),
                               ("short_emb.svw", "utterance d has an embedding of shape (3,)"),
-                              ("mean_emb.svw", "utterance d: degenerate norm: zero vector"))},
+                              ("mean_emb.svw", "utterance d: degenerate norm: zero vector"),
+                              ("not-vectors_emb.svw",
+                               "utterance m has an embedding of shape (2, 4), not a vector"))},
     "embed-one-class-weights": (EMBED_ON + ["tdnn-standard", "--weights", "one_class.svw"],
                                 ["one_class.svw"], "num_classes must be >= 2"),
     "embed-bad-embedding-dim": (EMBED_ON + ["resnet34", "--config", "dim128.cfg"],

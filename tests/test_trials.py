@@ -19,6 +19,20 @@ class TestScoreSet:
         with pytest.raises(ValueError, match="length"):
             tr.ScoreSet(["a", "b"], ["c"], np.array([0.0]))
 
+    @pytest.mark.parametrize("source", [
+        tr.TrialList(["a", "a"], ["b", "c"], np.array([True, False])),
+        tr.ScoreSet(["a", "a"], ["b", "c"], np.array([0.5, -0.5])),
+    ], ids=["trial-list", "score-set"])
+    def test_with_scores_shares_the_checked_id_lists(self, source):
+        out = source.with_scores([1.0, 2.0])
+        assert type(out) is tr.ScoreSet
+        assert out.enroll is source.enroll and out.test is source.test
+        assert out.scores.dtype == np.float64 and out.scores.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError, match="length"):
+            source.with_scores([1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            source.with_scores([1.0, np.nan])
+
 
 class TestScoreFile:
     def test_roundtrip_is_value_exact(self, tmp_path):
